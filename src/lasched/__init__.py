@@ -10,7 +10,6 @@ from .adversaries import (
     THM4_CASE_IDS,
     FamilyId,
     GameTranscript,
-    enumerate_instances,
     format_family_id,
     named_instance,
     parse_family_id,
@@ -21,6 +20,7 @@ from .algorithms import (
     DecisionRecord,
     DecisionTrace,
     SchedulerId,
+    SchedulerMachineMismatch,
     ls_schedule,
     policy_for,
     run_policy,
@@ -52,9 +52,9 @@ from .core import (
 from .harness import (
     CSV_HEADER,
     ExperimentRow,
-    SchedulerMachineMismatch,
     VerificationReport,
     emit_csv,
+    enumerate_instances,
     run_family_sweep,
     run_one,
     verify_bound,

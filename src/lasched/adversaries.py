@@ -12,17 +12,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from collections.abc import Iterator, Sequence
+from collections.abc import Sequence
 
 from .algorithms import OnlinePolicy, SchedulerId, policy_for, run_policy
-from .core import (
-    Instance,
-    InvalidParam,
-    LookaheadWindow,
-    Rational,
-    make_instance,
-    _window,
-)
+from .core import Instance, InvalidParam, LookaheadWindow, Rational, make_instance
 from .oracle import competitive_ratio, optimal_makespan_value
 
 THM4_CASE_IDS = ("1", "2.1", "2.2", "2.3", "3a.1", "3a.2", "3a.3", "3b.1", "3b.2")
@@ -137,21 +130,16 @@ def _as_policy(scheduler: SchedulerId | OnlinePolicy) -> OnlinePolicy:
 def _play_prefix(
     times: Sequence[Rational], policy: OnlinePolicy, machine_count: int, k: int, upto: int
 ) -> tuple[tuple[Rational, ...], tuple[int, ...]]:
-    """Run the policy on jobs 1..upto of a partially committed sequence.
+    """Loads and decisions after jobs 1..upto of a partially committed sequence.
 
     Every window shown within the prefix must already be fully committed,
-    i.e. upto + k <= len(times).
+    i.e. upto + k <= len(times).  The policy runs on times[:upto + k]; it is
+    pure, so the decisions it makes after job upto (on windows cut short by
+    the end of the committed values) are dropped without effect.
     """
     assert upto + k <= len(times)
-    committed = make_instance(times)
-    loads = [Fraction(0)] * machine_count
-    decisions = []
-    for i in range(1, upto + 1):
-        window = _window(committed, i, k)
-        machine = policy.choose(tuple(loads), window)
-        loads[machine - 1] += committed.jobs[i - 1].processing_time
-        decisions.append(machine)
-    return tuple(loads), tuple(decisions)
+    _, trace = run_policy(make_instance(times[: upto + k]), policy, machine_count, k)
+    return trace.records[upto - 1].loads, trace.decisions[:upto]
 
 
 def _finish_game(
@@ -251,30 +239,3 @@ def play_theorem4(scheduler: SchedulerId | OnlinePolicy) -> GameTranscript:
         p5 = Fraction(11)
     return _finish_game(policy, 3, k, committed + [p5], decisions, case)
 
-
-def enumerate_instances(
-    n: int, values: Sequence[Rational], start: int = 0, stop: int | None = None
-) -> Iterator[Instance]:
-    """All len(values)^n instances of length n, in lexicographic order of
-    value indices; [start, stop) restricts to an index range so enumeration
-    can be chunked and restarted."""
-    if n < 1:
-        raise InvalidParam(f"instance length must be >= 1, got {n}")
-    values = tuple(values)
-    if not values:
-        raise InvalidParam("value set must be non-empty")
-    if any(v <= 0 for v in values):
-        raise InvalidParam("all values must be positive")
-    base = len(values)
-    total = base**n
-    if stop is None:
-        stop = total
-    start = max(0, start)
-    stop = min(stop, total)
-    for index in range(start, stop):
-        digits = []
-        rest = index
-        for _ in range(n):
-            rest, digit = divmod(rest, base)
-            digits.append(digit)
-        yield make_instance([values[d] for d in reversed(digits)])

@@ -20,8 +20,12 @@ from .core import (
     LookaheadWindow,
     Rational,
     Schedule,
-    _window,
+    check_machine_count,
 )
+
+
+class SchedulerMachineMismatch(InvalidParam):
+    """Scheduler run on a machine count it does not support."""
 
 
 class SchedulerId(Enum):
@@ -129,6 +133,16 @@ def policy_for(scheduler: SchedulerId) -> OnlinePolicy:
     return _POLICIES[scheduler]
 
 
+def check_policy(policy: OnlinePolicy, m: int, k: int) -> None:
+    """Raise unless the policy can run on m machines with k-lookahead."""
+    check_machine_count(m)
+    name = policy.scheduler_id.value if policy.scheduler_id is not None else "policy"
+    if policy.machine_count is not None and policy.machine_count != m:
+        raise SchedulerMachineMismatch(f"{name} requires m={policy.machine_count}, got m={m}")
+    if k < policy.min_lookahead:
+        raise InvalidParam(f"{name} needs lookahead >= {policy.min_lookahead}, got k={k}")
+
+
 def run_policy(
     instance: Instance, policy: OnlinePolicy, machine_count: int, lookahead: int
 ) -> tuple[Schedule, DecisionTrace]:
@@ -136,26 +150,19 @@ def run_policy(
 
     The policy only ever sees the loads and the k-lookahead window of the
     arriving job; the trace records exactly that, so tests can replay it.
+    A lookahead of 0 (the LS baseline) gives every window an empty future.
     """
-    if machine_count < 2:
-        raise InvalidParam(f"machine count must be >= 2, got {machine_count}")
-    if policy.machine_count is not None and policy.machine_count != machine_count:
-        raise InvalidParam(
-            f"policy fixes m={policy.machine_count}, got m={machine_count}"
-        )
-    if lookahead < policy.min_lookahead:
-        raise InvalidParam(
-            f"policy needs lookahead >= {policy.min_lookahead}, got {lookahead}"
-        )
+    check_policy(policy, machine_count, lookahead)
+    times = instance.processing_times
     loads = [Fraction(0)] * machine_count
     assignment: dict[int, int] = {}
     records = []
-    for job in instance.jobs:
-        window = _window(instance, job.index, lookahead)
+    for i, p in enumerate(times, 1):
+        window = LookaheadWindow(p, times[i : i + lookahead])
         machine = policy.choose(tuple(loads), window)
-        loads[machine - 1] += job.processing_time
-        assignment[job.index] = machine
-        records.append(DecisionRecord(job.index, window, machine, tuple(loads)))
+        loads[machine - 1] += p
+        assignment[i] = machine
+        records.append(DecisionRecord(i, window, machine, tuple(loads)))
     schedule = Schedule(assignment, tuple(loads), max(loads), machine_count)
     return schedule, DecisionTrace(tuple(records))
 

@@ -12,6 +12,7 @@ import argparse
 import random
 import sys
 
+from . import __version__
 from .adversaries import (
     THM4_CASE_IDS,
     FamilyId,
@@ -281,7 +282,7 @@ def build_parser() -> _Parser:
             "lower-bound adversaries, and exhaustively verify ratio bounds."
         ),
     )
-    parser.add_argument("--version", action="version", version="lasched 0.1.0")
+    parser.add_argument("--version", action="version", version=f"lasched {__version__}")
     commands = parser.add_subparsers(dest="command", required=True)
 
     simulate = commands.add_parser("simulate", help="run one scheduler on one instance")

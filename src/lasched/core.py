@@ -177,13 +177,6 @@ def format_instance_text(instance: Instance) -> str:
     return "".join(f"{format_rational(p)}\n" for p in instance.processing_times)
 
 
-def _window(instance: Instance, i: int, k: int) -> LookaheadWindow:
-    # internal variant that also accepts k = 0 (no lookahead, e.g. the LS
-    # baseline); the public operation enforces the model's k >= 1
-    times = instance.processing_times
-    return LookaheadWindow(times[i - 1], times[i : i + k])
-
-
 def lookahead_window(instance: Instance, i: int, k: int) -> LookaheadWindow:
     """Reveal p_i plus the next k processing times, truncated at the end.
 
@@ -194,13 +187,19 @@ def lookahead_window(instance: Instance, i: int, k: int) -> LookaheadWindow:
         raise IndexOutOfRange(f"job index {i} outside 1..{len(instance)}")
     if k < 1:
         raise InvalidParam(f"lookahead size must be >= 1, got {k}")
-    return _window(instance, i, k)
+    times = instance.processing_times
+    return LookaheadWindow(times[i - 1], times[i : i + k])
+
+
+def check_machine_count(machine_count: int) -> None:
+    """Every schedule, policy run and oracle call needs at least two machines."""
+    if machine_count < 2:
+        raise InvalidParam(f"machine count must be >= 2, got {machine_count}")
 
 
 def build_schedule(instance: Instance, assignment: Mapping[int, int], machine_count: int) -> Schedule:
     """Build a Schedule whose loads and makespan are derived from the assignment."""
-    if machine_count < 2:
-        raise InvalidParam(f"machine count must be >= 2, got {machine_count}")
+    check_machine_count(machine_count)
     loads = [Fraction(0)] * machine_count
     for job in instance.jobs:
         machine = assignment.get(job.index)

@@ -13,18 +13,21 @@ import io
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
-from collections.abc import Iterable, Sequence
+from itertools import islice, product
+from collections.abc import Iterable, Iterator, Sequence
 
 from .adversaries import FamilyId, format_family_id, named_instance
-from .algorithms import SchedulerId, policy_for, run_policy
-from .core import Instance, InvalidParam, Rational, SchedulingError, make_instance
+from .algorithms import (
+    SchedulerId,
+    SchedulerMachineMismatch,  # noqa: F401  (re-exported)
+    check_policy,
+    policy_for,
+    run_policy,
+)
+from .core import Instance, InvalidParam, Rational, make_instance
 from .oracle import CapacityExceeded, competitive_ratio, optimal_makespan_value
 
 CSV_HEADER = ("scheduler", "instance", "m", "k", "alg_makespan", "opt_makespan", "ratio", "ratio_decimal")
-
-
-class SchedulerMachineMismatch(SchedulingError):
-    """Scheduler run on a machine count it does not support."""
 
 
 @dataclass(frozen=True)
@@ -52,20 +55,6 @@ class VerificationReport:
     target_bound: Rational
 
 
-def _check_compat(scheduler: SchedulerId, m: int, k: int) -> None:
-    policy = policy_for(scheduler)
-    if m < 2:
-        raise InvalidParam(f"machine count must be >= 2, got {m}")
-    if policy.machine_count is not None and policy.machine_count != m:
-        raise SchedulerMachineMismatch(
-            f"{scheduler.value} requires m={policy.machine_count}, got m={m}"
-        )
-    if k < policy.min_lookahead:
-        raise InvalidParam(
-            f"{scheduler.value} needs lookahead >= {policy.min_lookahead}, got k={k}"
-        )
-
-
 def inline_label(values: Sequence[Rational]) -> str:
     return ",".join(str(v) for v in values)
 
@@ -74,7 +63,6 @@ def run_one(
     scheduler: SchedulerId, instance: Instance, m: int, k: int, label: str | None = None
 ) -> ExperimentRow:
     """Run one scheduler on one instance and score it against the oracle."""
-    _check_compat(scheduler, m, k)
     schedule, _ = run_policy(instance, policy_for(scheduler), m, k)
     opt = optimal_makespan_value(instance, m)
     return ExperimentRow(
@@ -88,14 +76,26 @@ def run_one(
     )
 
 
-def _decode(index: int, n: int, values: tuple[Rational, ...]) -> tuple[Rational, ...]:
-    base = len(values)
-    digits = []
-    rest = index
-    for _ in range(n):
-        rest, digit = divmod(rest, base)
-        digits.append(digit)
-    return tuple(values[d] for d in reversed(digits))
+def _check_values(values: Sequence[Rational]) -> tuple[Rational, ...]:
+    values = tuple(values)
+    if not values:
+        raise InvalidParam("value set must be non-empty")
+    if any(v <= 0 for v in values):
+        raise InvalidParam("all values must be positive")
+    return values
+
+
+def enumerate_instances(
+    n: int, values: Sequence[Rational], start: int = 0, stop: int | None = None
+) -> Iterator[Instance]:
+    """All len(values)^n instances of length n, in lexicographic order of
+    value indices; [start, stop) restricts to an index range so enumeration
+    can be chunked and restarted."""
+    if n < 1:
+        raise InvalidParam(f"instance length must be >= 1, got {n}")
+    values = _check_values(values)
+    for times in islice(product(values, repeat=n), start, stop):
+        yield make_instance(times)
 
 
 def _scan_chunk(
@@ -118,9 +118,8 @@ def _scan_chunk(
     best_ratio: Rational | None = None
     best_values: tuple[Rational, ...] | None = None
     violations: list[tuple[tuple[Rational, ...], Rational]] = []
-    for index in range(start, stop):
-        times = _decode(index, n, values)
-        instance = make_instance(times)
+    for instance in enumerate_instances(n, values, start, stop):
+        times = instance.processing_times
         try:
             schedule, _ = run_policy(instance, policy, m, k)
             opt = optimal_makespan_value(instance, m)
@@ -151,14 +150,10 @@ def verify_bound(
     count: chunks reduce associatively and argmax ties break towards the
     lexicographically smallest instance.
     """
-    _check_compat(scheduler, m, k)
+    check_policy(policy_for(scheduler), m, k)
     if n_max < 1:
         raise InvalidParam(f"n_max must be >= 1, got {n_max}")
-    values = tuple(values)
-    if not values:
-        raise InvalidParam("value set must be non-empty")
-    if any(v <= 0 for v in values):
-        raise InvalidParam("all values must be positive")
+    values = _check_values(values)
     if jobs < 1:
         raise InvalidParam(f"worker count must be >= 1, got {jobs}")
 
@@ -212,12 +207,26 @@ def run_family_sweep(
 
 
 def report_rows(report: VerificationReport) -> list[ExperimentRow]:
-    """Flatten a report into rows: the argmax instance, then each violation."""
-    rows = [
-        run_one(report.scheduler, report.argmax_instance, report.m, report.k)
-    ]
-    for instance, _ in report.violations:
-        rows.append(run_one(report.scheduler, instance, report.m, report.k))
+    """Flatten a report into rows: the argmax instance, then each violation.
+
+    Only the policy is rerun; the optimum follows exactly from the ratio the
+    report already holds.
+    """
+    policy = policy_for(report.scheduler)
+    rows = []
+    for instance, ratio in ((report.argmax_instance, report.max_ratio), *report.violations):
+        schedule, _ = run_policy(instance, policy, report.m, report.k)
+        rows.append(
+            ExperimentRow(
+                scheduler=report.scheduler,
+                instance_label=inline_label(instance.processing_times),
+                m=report.m,
+                k=report.k,
+                alg_makespan=schedule.makespan,
+                opt_makespan=schedule.makespan / ratio,
+                ratio=ratio,
+            )
+        )
     return rows
 
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
 
-from .core import Instance, Rational, SchedulingError
+from .core import Instance, Rational, SchedulingError, check_machine_count
 
 DEFAULT_SCALED_TOTAL_CAP = 20_000
 DEFAULT_STATE_CAP = 5_000_000
@@ -153,6 +153,7 @@ def exhaustive_optimal_makespan(instance: Instance, machine_count: int) -> OptRe
     incumbent, so the returned witness is the lexicographically smallest
     optimum.
     """
+    check_machine_count(machine_count)
     n = len(instance)
     if n > EXHAUSTIVE_MAX_JOBS:
         raise CapacityExceeded(
@@ -219,6 +220,7 @@ def optimal_makespan(
 
 def opt_lower_bound(instance: Instance, machine_count: int) -> Rational:
     """max(largest job, total work / m): no schedule can beat either term."""
+    check_machine_count(machine_count)
     return max(instance.max_time, instance.total_time / machine_count)
 
 

@@ -158,10 +158,11 @@ def test_revelation_compliance(scheduler, m, k, instance):
 
 
 def test_run_policy_validations():
-    from lasched import InvalidParam
+    from lasched import InvalidParam, SchedulerMachineMismatch
 
+    assert issubclass(SchedulerMachineMismatch, InvalidParam)
     instance = make_instance([1, 2])
-    with pytest.raises(InvalidParam):
+    with pytest.raises(SchedulerMachineMismatch):
         run_policy(instance, policy_for(SchedulerId.TWO_LA1), 3, 1)
     with pytest.raises(InvalidParam):
         run_policy(instance, policy_for(SchedulerId.TWO_LA1), 2, 0)

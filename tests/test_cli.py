@@ -1,3 +1,6 @@
+import pytest
+
+import lasched
 from lasched.cli import dispatch
 
 
@@ -55,6 +58,14 @@ def test_oracle(capsys):
     assert code == 0
     assert "opt_makespan: 2" in out
     assert "witness_machines: 1,1,2" in out
+
+
+@pytest.mark.parametrize("m", ["0", "-1"])
+def test_oracle_rejects_too_few_machines(capsys, m):
+    code, out, err = run(capsys, "oracle", "--m", m, "--family", "fig1")
+    assert code == 1
+    assert out == ""
+    assert err == f"error: machine count must be >= 2, got {m}\n"
 
 
 def test_verify_clean_space_exits_zero(capsys):
@@ -142,4 +153,4 @@ def test_sweep_thm4_expands_all_cases(capsys):
 def test_version(capsys):
     code, out, _ = run(capsys, "--version")
     assert code == 0
-    assert "lasched" in out
+    assert out == f"lasched {lasched.__version__}\n"
