@@ -1,15 +1,16 @@
 """Exact optimal offline makespan, the classic lower bound, and ratios.
 
-The optimised paths scale all processing times to integers by the LCM of
-their denominators and run reachable-load dynamic programs: a subset-sum
-bitset for two machines, a reachable (l1, l2) pair set for three.  A pure
-m^n brute force doubles as the fallback for other machine counts and as the
+The oracle scales all processing times to integers by the LCM of their
+denominators and runs a reachable-load dynamic program: a subset-sum bitset
+for two machines, and for every m >= 3 the reachable load tuples, each kept
+sorted because the machines are identical.  A pure m^n brute force is the
 independent oracle the dynamic programs are tested against.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
@@ -22,10 +23,11 @@ EXHAUSTIVE_MAX_JOBS = 12
 
 
 class CapacityExceeded(SchedulingError):
-    """The scaled DP table (or brute-force space) would exceed its size bound.
+    """A DP table or the brute-force space would exceed its size bound.
 
-    Raised instead of ever degrading accuracy; callers should shrink the
-    instance or raise the caps explicitly.
+    The m = 2 bitset is bounded by the scaled total work, the sorted-tuple DP
+    by its cumulative state count, the brute force by the job count.  Raised
+    instead of ever degrading accuracy; shrink the instance or raise the caps.
     """
 
 
@@ -39,27 +41,25 @@ class OptResult:
     witness_assignment: dict[int, int]
 
 
-def _scaled_ints(instance: Instance, cap: int) -> tuple[list[int], int]:
+def _scaled_ints(instance: Instance) -> tuple[list[int], int]:
     """Scale processing times to integers; returns (ints, scale)."""
     times = instance.processing_times
     scale = math.lcm(*(p.denominator for p in times))
-    ints = [int(p * scale) for p in times]
+    return [int(p * scale) for p in times], scale
+
+
+def _dp_two(ints: list[int], cap: int) -> tuple[int, list[int]]:
+    """Reachable M1 loads after each job, as bitsets; returns (best, layers)."""
     total = sum(ints)
     if total > cap:
         raise CapacityExceeded(
             f"scaled total {total} exceeds cap {cap}; use smaller values or raise the cap"
         )
-    return ints, scale
-
-
-def _dp_two(ints: list[int]) -> tuple[int, list[int]]:
-    """Reachable M1 loads after each job, as bitsets; returns (best, layers)."""
     layers = [1]  # bit s set <=> load s on M1 is reachable
     reach = 1
     for a in ints:
         reach |= reach << a
         layers.append(reach)
-    total = sum(ints)
     best = min(max(s, total - s) for s in range(total + 1) if reach >> s & 1)
     return best, layers
 
@@ -88,60 +88,56 @@ def _witness_two(ints: list[int], best: int, layers: list[int]) -> list[int]:
     return machines
 
 
-def _dp_three(ints: list[int], state_cap: int) -> tuple[int, list[set[tuple[int, int]]]]:
-    """Reachable (l1, l2) pairs after each job; l3 is the prefix sum remainder."""
-    layers: list[set[tuple[int, int]]] = [{(0, 0)}]
+def _children(loads: tuple[int, ...], a: int) -> list[tuple[int, ...]]:
+    """Sorted loads after placing a job of size a; of equal loads only the first gets it."""
+    children = []
+    for j, load in enumerate(loads):
+        if j == 0 or load != loads[j - 1]:
+            k = bisect_left(loads, load + a, j + 1)
+            children.append(loads[:j] + loads[j + 1 : k] + (load + a,) + loads[k:])
+    return children
+
+
+def _dp_sorted(
+    ints: list[int], m: int, state_cap: int
+) -> tuple[int, list[set[tuple[int, ...]]]]:
+    """Reachable ascending load tuples after each job; returns (best, layers)."""
+    check_machine_count(m)
+    layers: list[set[tuple[int, ...]]] = [{(0,) * m}]
     stored = 1
     for a in ints:
         nxt = set()
-        for l1, l2 in layers[-1]:
-            nxt.add((l1 + a, l2))
-            nxt.add((l1, l2 + a))
-            nxt.add((l1, l2))
+        for loads in layers[-1]:
+            nxt.update(_children(loads, a))
         stored += len(nxt)
         if stored > state_cap:
             raise CapacityExceeded(
                 f"DP table grew past {state_cap} states; use smaller values or raise the cap"
             )
         layers.append(nxt)
-    total = sum(ints)
-    best = min(max(l1, l2, total - l1 - l2) for l1, l2 in layers[-1])
+    best = min(loads[-1] for loads in layers[-1])
     return best, layers
 
 
-def _witness_three(
-    ints: list[int], best: int, layers: list[set[tuple[int, int]]]
+def _witness_sorted(
+    ints: list[int], m: int, best: int, layers: list[set[tuple[int, ...]]]
 ) -> list[int]:
-    total = sum(ints)
-    goods = [
-        {
-            (l1, l2)
-            for l1, l2 in layers[-1]
-            if max(l1, l2, total - l1 - l2) == best
-        }
-    ]
-    for i in range(len(ints) - 1, -1, -1):
-        a = ints[i]
-        nxt = goods[-1]
-        goods.append(
-            {
-                (l1, l2)
-                for l1, l2 in layers[i]
-                if (l1 + a, l2) in nxt or (l1, l2 + a) in nxt or (l1, l2) in nxt
-            }
-        )
+    goods = [{loads for loads in layers[-1] if loads[-1] == best}]
+    for a, layer in zip(reversed(ints), reversed(layers[:-1])):
+        later = goods[-1]
+        goods.append({loads for loads in layer if not later.isdisjoint(_children(loads, a))})
     goods.reverse()
     machines = []
-    l1 = l2 = 0
+    loads = [0] * m
     for i, a in enumerate(ints):
-        if (l1 + a, l2) in goods[i + 1]:
-            machines.append(1)
-            l1 += a
-        elif (l1, l2 + a) in goods[i + 1]:
-            machines.append(2)
-            l2 += a
-        else:
-            machines.append(3)
+        # the lowest machine whose sorted result can still reach the optimum:
+        # this walk yields the lexicographically smallest optimal witness
+        for j in range(m):
+            loads[j] += a
+            if tuple(sorted(loads)) in goods[i + 1]:
+                machines.append(j + 1)
+                break
+            loads[j] -= a
     return machines
 
 
@@ -181,15 +177,12 @@ def optimal_makespan_value(
     state_cap: int = DEFAULT_STATE_CAP,
 ) -> Rational:
     """Exact minimum makespan without witness reconstruction (fast path)."""
+    ints, scale = _scaled_ints(instance)
     if machine_count == 2:
-        ints, scale = _scaled_ints(instance, scaled_total_cap)
-        best, _ = _dp_two(ints)
-        return Fraction(best, scale)
-    if machine_count == 3:
-        ints, scale = _scaled_ints(instance, scaled_total_cap)
-        best, _ = _dp_three(ints, state_cap)
-        return Fraction(best, scale)
-    return exhaustive_optimal_makespan(instance, machine_count).makespan
+        best, _ = _dp_two(ints, scaled_total_cap)
+    else:
+        best, _ = _dp_sorted(ints, machine_count, state_cap)
+    return Fraction(best, scale)
 
 
 def optimal_makespan(
@@ -201,20 +194,19 @@ def optimal_makespan(
 ) -> OptResult:
     """Exact minimum makespan over all assignments, plus one witness.
 
-    m = 2 and m = 3 run reachable-load dynamic programs on the scaled
-    integers; any other m falls back to the brute force (n <= 12).  The
-    witness is the lexicographically smallest optimal assignment.
+    Runs a dynamic program on the processing times scaled to integers: a
+    subset-sum bitset for m = 2 (bounded by ``scaled_total_cap``), sorted
+    load tuples for every m >= 3 (bounded by ``state_cap``).  The witness is
+    the lexicographically smallest optimal assignment, the same one
+    ``exhaustive_optimal_makespan`` returns.
     """
+    ints, scale = _scaled_ints(instance)
     if machine_count == 2:
-        ints, scale = _scaled_ints(instance, scaled_total_cap)
-        best, layers = _dp_two(ints)
+        best, layers = _dp_two(ints, scaled_total_cap)
         machines = _witness_two(ints, best, layers)
-    elif machine_count == 3:
-        ints, scale = _scaled_ints(instance, scaled_total_cap)
-        best, layers = _dp_three(ints, state_cap)
-        machines = _witness_three(ints, best, layers)
     else:
-        return exhaustive_optimal_makespan(instance, machine_count)
+        best, layers = _dp_sorted(ints, machine_count, state_cap)
+        machines = _witness_sorted(ints, machine_count, best, layers)
     return OptResult(Fraction(best, scale), {i: m for i, m in enumerate(machines, 1)})
 
 

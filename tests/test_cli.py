@@ -60,6 +60,14 @@ def test_oracle(capsys):
     assert "witness_machines: 1,1,2" in out
 
 
+def test_oracle_answers_more_than_twelve_jobs_at_m5(capsys):
+    code, out, err = run(capsys, "oracle", "--m", "5", "--family", "lemma6:x=1")
+    assert code == 0
+    assert err == ""
+    assert "opt_makespan: 7\n" in out
+    assert "lower_bound: 33/5\n" in out
+
+
 @pytest.mark.parametrize("m", ["0", "-1"])
 def test_oracle_rejects_too_few_machines(capsys, m):
     code, out, err = run(capsys, "oracle", "--m", m, "--family", "fig1")

@@ -29,6 +29,9 @@ small_instances = st.lists(positive_fractions, min_size=1, max_size=7).map(make_
         ([1, 1, 1, 6, 15, 12], 2, F(18)),
         ([7, 4, 4, 7, 11], 3, F(11)),
         ([2, 2, 2], 3, F(2)),
+        # the sorted-tuple DP has no scaled-total or job-count cap
+        ([30000], 3, F(30000)),
+        ([1] * 13, 5, F(3)),
     ],
 )
 def test_optimal_makespan_examples(times, m, expected):
@@ -47,7 +50,7 @@ def test_optimal_makespan_handles_fractions():
     assert optimal_makespan_value(make_instance([F(7, 2), F(3), F(1, 2)]), 2) == F(7, 2)
 
 
-def test_optimal_makespan_exhaustive_fallback_m4():
+def test_optimal_makespan_m4():
     result = optimal_makespan(make_instance([2, 2, 2]), 4)
     assert result.makespan == 2
     assert result.witness_assignment == {1: 1, 2: 2, 3: 3}
@@ -59,7 +62,9 @@ def test_capacity_exceeded():
     with pytest.raises(CapacityExceeded):
         optimal_makespan_value(make_instance([1] * 10), 2, scaled_total_cap=5)
     with pytest.raises(CapacityExceeded):
-        optimal_makespan(make_instance([1] * 13), 5)
+        exhaustive_optimal_makespan(make_instance([1] * 13), 5)
+    with pytest.raises(CapacityExceeded, match="past 10 states"):
+        optimal_makespan(make_instance([1, 2, 3, 4, 5]), 3, state_cap=10)
 
 
 @pytest.mark.parametrize(
@@ -88,19 +93,23 @@ def test_dp_matches_exhaustive_small_space():
     for n in range(1, 6):
         for instance in enumerate_instances(n, values):
             key = tuple(sorted(instance.processing_times))
-            for m in (2, 3):
+            for m in (2, 3, 4):
                 if (key, m) not in cache:
                     cache[key, m] = exhaustive_optimal_makespan(make_instance(key), m).makespan
                 assert optimal_makespan_value(instance, m) == cache[key, m]
+                if n <= 4:
+                    # witness included: both return the lexicographically smallest optimum
+                    assert optimal_makespan(instance, m) == exhaustive_optimal_makespan(instance, m)
 
 
-@settings(max_examples=60)
-@given(instance=small_instances, m=st.sampled_from([2, 3]))
+# the m = 4 brute force on seven jobs takes ~0.3 s, past hypothesis's default deadline
+@settings(max_examples=60, deadline=None)
+@given(instance=small_instances, m=st.sampled_from([2, 3, 4]))
 def test_dp_matches_exhaustive_random(instance, m):
     assert optimal_makespan_value(instance, m) == exhaustive_optimal_makespan(instance, m).makespan
 
 
-@given(instance=small_instances, m=st.sampled_from([2, 3]))
+@given(instance=small_instances, m=st.sampled_from([2, 3, 4]))
 def test_witness_validity(instance, m):
     result = optimal_makespan(instance, m)
     loads = [F(0)] * m
@@ -109,7 +118,7 @@ def test_witness_validity(instance, m):
     assert max(loads) == result.makespan
 
 
-@given(instance=small_instances, m=st.sampled_from([2, 3]), seed=st.randoms())
+@given(instance=small_instances, m=st.sampled_from([2, 3, 4]), seed=st.randoms())
 def test_permutation_invariance(instance, m, seed):
     times = list(instance.processing_times)
     seed.shuffle(times)
