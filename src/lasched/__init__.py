@@ -34,7 +34,6 @@ from .core import (
     IndexOutOfRange,
     Instance,
     InvalidParam,
-    Job,
     LookaheadWindow,
     NonPositiveTime,
     ParseError,

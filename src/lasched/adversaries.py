@@ -12,13 +12,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from collections.abc import Sequence
+from collections.abc import Callable, Sequence
 
 from .algorithms import OnlinePolicy, SchedulerId, policy_for, run_policy
 from .core import Instance, InvalidParam, LookaheadWindow, Rational, make_instance
 from .oracle import competitive_ratio, optimal_makespan_value
-
-THM4_CASE_IDS = ("1", "2.1", "2.2", "2.3", "3a.1", "3a.2", "3a.3", "3b.1", "3b.2")
 
 # (p4, p5) tails of the five-job ambush family, per case id
 _THM4_TAILS: dict[str, tuple[int, int]] = {
@@ -33,8 +31,28 @@ _THM4_TAILS: dict[str, tuple[int, int]] = {
     "3b.2": (8, 7),
 }
 
-_PARAM_KEY = {"theorem2": "n", "corollary21": "x", "lemma6": "x", "thm4": "case"}
-_BARE_KINDS = ("fig1", "lemma4", "lemma5a", "lemma5b")
+THM4_CASE_IDS = tuple(_THM4_TAILS)
+
+
+def _thm4_jobs(case: str) -> list[int]:
+    if case not in _THM4_TAILS:
+        raise InvalidParam(f"thm4 case must be one of {', '.join(THM4_CASE_IDS)}, got {case!r}")
+    return [7, 4, 4, *_THM4_TAILS[case]]
+
+
+# kind -> (parameter key, smallest integer value, job sequence of the
+# parameter).  A bare family has no key; a keyed family with no smallest
+# value takes a string id, which its job sequence checks.
+_FAMILIES: dict[str, tuple[str | None, int | None, Callable[..., list[int]]]] = {
+    "fig1": (None, None, lambda _: [1, 1, 2]),
+    "theorem2": ("n", 4, lambda n: [1] * (n - 3) + [n, 2 * n + 3, 2 * n]),
+    "corollary21": ("x", 1, lambda x: [1] * (6 * x)),
+    "lemma4": (None, None, lambda _: [16, 16, 1]),
+    "lemma5a": (None, None, lambda _: [17, 14, 1, 1]),
+    "lemma5b": (None, None, lambda _: [1, 1, 14, 17]),
+    "lemma6": ("x", 1, lambda x: [1] * (33 * x)),
+    "thm4": ("case", None, _thm4_jobs),
+}
 
 
 @dataclass(frozen=True)
@@ -48,18 +66,18 @@ class FamilyId:
 def parse_family_id(text: str) -> FamilyId:
     """Parse CLI identifiers like "fig1", "theorem2:n=6", "thm4:case=3b.1"."""
     kind, sep, rest = text.partition(":")
-    if kind in _BARE_KINDS:
+    if kind not in _FAMILIES:
+        raise InvalidParam(f"unknown family {text!r}")
+    key, low, _ = _FAMILIES[kind]
+    if key is None:
         if sep:
             raise InvalidParam(f"family {kind!r} takes no parameter")
         return FamilyId(kind)
-    key = _PARAM_KEY.get(kind)
-    if key is None:
-        raise InvalidParam(f"unknown family {text!r}")
     prefix = f"{key}="
     if not rest.startswith(prefix):
         raise InvalidParam(f"family {kind!r} needs a {prefix}<value> parameter")
     raw = rest[len(prefix):]
-    if kind == "thm4":
+    if low is None:
         return FamilyId(kind, raw)
     try:
         return FamilyId(kind, int(raw))
@@ -70,41 +88,18 @@ def parse_family_id(text: str) -> FamilyId:
 def format_family_id(family: FamilyId) -> str:
     if family.param is None:
         return family.kind
-    return f"{family.kind}:{_PARAM_KEY[family.kind]}={family.param}"
+    return f"{family.kind}:{_FAMILIES[family.kind][0]}={family.param}"
 
 
 def named_instance(family: FamilyId) -> Instance:
     """Materialise a named family into its exact job sequence."""
     kind, param = family.kind, family.param
-    if kind == "fig1":
-        return make_instance([1, 1, 2])
-    if kind == "theorem2":
-        if not isinstance(param, int) or param < 4:
-            raise InvalidParam(f"theorem2 needs n >= 4, got {param!r}")
-        n = param
-        return make_instance([1] * (n - 3) + [n, 2 * n + 3, 2 * n])
-    if kind == "corollary21":
-        if not isinstance(param, int) or param < 1:
-            raise InvalidParam(f"corollary21 needs x >= 1, got {param!r}")
-        return make_instance([1] * (6 * param))
-    if kind == "lemma4":
-        return make_instance([16, 16, 1])
-    if kind == "lemma5a":
-        return make_instance([17, 14, 1, 1])
-    if kind == "lemma5b":
-        return make_instance([1, 1, 14, 17])
-    if kind == "lemma6":
-        if not isinstance(param, int) or param < 1:
-            raise InvalidParam(f"lemma6 needs x >= 1, got {param!r}")
-        return make_instance([1] * (33 * param))
-    if kind == "thm4":
-        tail = _THM4_TAILS.get(param)  # type: ignore[arg-type]
-        if tail is None:
-            raise InvalidParam(
-                f"thm4 case must be one of {', '.join(THM4_CASE_IDS)}, got {param!r}"
-            )
-        return make_instance([7, 4, 4, *tail])
-    raise InvalidParam(f"unknown family kind {kind!r}")
+    if kind not in _FAMILIES:
+        raise InvalidParam(f"unknown family kind {kind!r}")
+    key, low, jobs = _FAMILIES[kind]
+    if low is not None and (not isinstance(param, int) or param < low):
+        raise InvalidParam(f"{kind} needs {key} >= {low}, got {param!r}")
+    return make_instance(jobs(param))
 
 
 @dataclass(frozen=True)
@@ -210,11 +205,12 @@ def play_theorem1(
 def play_theorem4(scheduler: SchedulerId | OnlinePolicy) -> GameTranscript:
     """Three-machine lower-bound game under 1-lookahead.
 
-    The prefix 7, 4, 4 is fixed.  The fourth value is 7 in every branch of
-    the case table, so it can be committed when job 3 arrives without
-    knowing where job 3 will go.  The fifth value is committed when job 4
-    arrives, from the placements of jobs 1..3 alone: 8 if jobs 1 and 2 sit
-    on different machines and job 3 joined job 2, else 11.  The transcript's
+    The prefix 7, 4, 4 is fixed.  The game always commits 7 as the fourth
+    value, so it can be committed when job 3 arrives without knowing where
+    job 3 will go; the named thm4:case tails, by contrast, use p4 in
+    {4, 7, 8, 11}.  The fifth value is committed when job 4 arrives, from
+    the placements of jobs 1..3 alone: 8 if jobs 1 and 2 sit on different
+    machines and job 3 joined job 2, else 11.  The transcript's
     case label records which branch applied.
     """
     policy = _as_policy(scheduler)

@@ -38,7 +38,6 @@ class SchedulerId(Enum):
 class DecisionRecord:
     """One scheduling step: what was visible, what was chosen, the loads after."""
 
-    job_index: int
     window: LookaheadWindow
     machine: int
     loads: tuple[Rational, ...]
@@ -162,8 +161,8 @@ def run_policy(
         machine = policy.choose(tuple(loads), window)
         loads[machine - 1] += p
         assignment[i] = machine
-        records.append(DecisionRecord(i, window, machine, tuple(loads)))
-    schedule = Schedule(assignment, tuple(loads), max(loads), machine_count)
+        records.append(DecisionRecord(window, machine, tuple(loads)))
+    schedule = Schedule(assignment, tuple(loads), max(loads))
     return schedule, DecisionTrace(tuple(records))
 
 

@@ -35,14 +35,14 @@ from .core import (
     parse_rational,
 )
 from .harness import (
+    ExperimentRow,
     VerificationReport,
     emit_csv,
     inline_label,
     run_family_sweep,
-    run_one,
     verify_bound,
 )
-from .oracle import opt_lower_bound, optimal_makespan
+from .oracle import competitive_ratio, opt_lower_bound, optimal_makespan, optimal_makespan_value
 
 USAGE_ERROR = 1
 VIOLATIONS_FOUND = 2
@@ -66,12 +66,9 @@ def _ratio_str(value: Rational) -> str:
 
 def _parse_values(text: str) -> tuple[Rational, ...]:
     try:
-        values = tuple(parse_rational(part) for part in text.split(","))
+        return tuple(parse_rational(part) for part in text.split(","))
     except ValueError as exc:
         raise _UsageError(f"--values: {exc}") from None
-    if not values:
-        raise _UsageError("--values: empty list")
-    return values
 
 
 def _parse_bound(text: str) -> Rational:
@@ -99,11 +96,11 @@ def _default_k(args) -> int:
 
 
 def _print_trace(trace: DecisionTrace) -> None:
-    for record in trace.records:
+    for i, record in enumerate(trace.records, 1):
         future = ",".join(format_rational(p) for p in record.window.future)
         loads = ",".join(format_rational(l) for l in record.loads)
         print(
-            f"  job {record.job_index}: p={format_rational(record.window.current)}"
+            f"  job {i}: p={format_rational(record.window.current)}"
             f" future=[{future}] -> M{record.machine} loads=({loads})"
         )
 
@@ -117,18 +114,19 @@ def _write_csv(path: str | None, payload) -> None:
 def _cmd_simulate(args) -> int:
     instance, label = _load_instance(args)
     k = _default_k(args)
-    row = run_one(args.alg, instance, args.m, k, label=label)
-    print(f"scheduler: {row.scheduler.value}")
-    print(f"instance: {row.instance_label} = {inline_label(instance.processing_times)}")
-    print(f"m: {row.m}")
-    print(f"k: {row.k}")
-    print(f"alg_makespan: {format_rational(row.alg_makespan)}")
-    print(f"opt_makespan: {format_rational(row.opt_makespan)}")
-    print(f"ratio: {_ratio_str(row.ratio)}")
+    schedule, trace = run_policy(instance, policy_for(args.alg), args.m, k)
+    opt = optimal_makespan_value(instance, args.m)
+    ratio = competitive_ratio(schedule.makespan, opt)
+    print(f"scheduler: {args.alg.value}")
+    print(f"instance: {label} = {inline_label(instance.processing_times)}")
+    print(f"m: {args.m}")
+    print(f"k: {k}")
+    print(f"alg_makespan: {format_rational(schedule.makespan)}")
+    print(f"opt_makespan: {format_rational(opt)}")
+    print(f"ratio: {_ratio_str(ratio)}")
     if args.trace:
-        _, trace = run_policy(instance, policy_for(args.alg), args.m, k)
         _print_trace(trace)
-    _write_csv(args.csv, [row])
+    _write_csv(args.csv, [ExperimentRow(args.alg, label, args.m, k, schedule.makespan, opt, ratio)])
     return 0
 
 
@@ -341,13 +339,7 @@ def dispatch(argv: list[str]) -> int:
     try:
         args = parser.parse_args(argv)
         return args.func(args)
-    except _UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return USAGE_ERROR
-    except SchedulingError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return USAGE_ERROR
-    except OSError as exc:
+    except (_UsageError, SchedulingError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
     except SystemExit as exc:  # --help / --version

@@ -75,25 +75,13 @@ def format_rational(value: Rational) -> str:
 
 
 @dataclass(frozen=True)
-class Job:
-    """One job: its 1-based arrival position and exact processing time."""
-
-    index: int
-    processing_time: Rational
-
-
-@dataclass(frozen=True)
 class Instance:
-    """An ordered, non-empty job sequence with indices exactly 1..n."""
+    """An ordered, non-empty job sequence; job i takes processing_times[i - 1]."""
 
-    jobs: tuple[Job, ...]
+    processing_times: tuple[Rational, ...]
 
     def __len__(self) -> int:
-        return len(self.jobs)
-
-    @property
-    def processing_times(self) -> tuple[Rational, ...]:
-        return tuple(job.processing_time for job in self.jobs)
+        return len(self.processing_times)
 
     @property
     def total_time(self) -> Rational:
@@ -123,7 +111,6 @@ class Schedule:
     assignment: dict[int, int]
     loads: tuple[Rational, ...]
     makespan: Rational
-    machine_count: int
 
 
 def _coerce_time(value, position: int) -> Rational:
@@ -151,7 +138,7 @@ def make_instance(processing_times: Iterable) -> Instance:
     for position, value in enumerate(times, 1):
         if value <= 0:
             raise NonPositiveTime(position, value)
-    return Instance(tuple(Job(i, p) for i, p in enumerate(times, 1)))
+    return Instance(tuple(times))
 
 
 def parse_instance_text(text: str) -> Instance:
@@ -201,9 +188,9 @@ def build_schedule(instance: Instance, assignment: Mapping[int, int], machine_co
     """Build a Schedule whose loads and makespan are derived from the assignment."""
     check_machine_count(machine_count)
     loads = [Fraction(0)] * machine_count
-    for job in instance.jobs:
-        machine = assignment.get(job.index)
+    for i, p in enumerate(instance.processing_times, 1):
+        machine = assignment.get(i)
         if machine is None or not 1 <= machine <= machine_count:
-            raise InvalidParam(f"job {job.index} assigned to invalid machine {machine!r}")
-        loads[machine - 1] += job.processing_time
-    return Schedule(dict(assignment), tuple(loads), max(loads), machine_count)
+            raise InvalidParam(f"job {i} assigned to invalid machine {machine!r}")
+        loads[machine - 1] += p
+    return Schedule(dict(assignment), tuple(loads), max(loads))

@@ -186,8 +186,8 @@ def test_transcript_soundness(play):
     assert len(transcript.decisions) == n
     machines = max(transcript.decisions)
     loads = [F(0)] * max(machines, 2)
-    for job, machine in zip(instance.jobs, transcript.decisions):
-        loads[machine - 1] += job.processing_time
+    for p, machine in zip(instance.processing_times, transcript.decisions):
+        loads[machine - 1] += p
     assert max(loads) == transcript.alg_makespan
     assert transcript.ratio == transcript.alg_makespan / transcript.opt_makespan
     # revealed values must be the final instance's values: the adversary can

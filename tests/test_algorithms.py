@@ -111,9 +111,9 @@ def test_conservation_and_makespan(scheduler, m, k, instance):
     assert len(trace.records) == len(instance)
     # loads in each record extend the previous record by exactly one job
     previous = tuple(F(0) for _ in range(m))
-    for record, job in zip(trace.records, instance.jobs):
+    for record, p in zip(trace.records, instance.processing_times):
         expected = list(previous)
-        expected[record.machine - 1] += job.processing_time
+        expected[record.machine - 1] += p
         assert record.loads == tuple(expected)
         previous = record.loads
     rebuilt = build_schedule(instance, schedule.assignment, m)

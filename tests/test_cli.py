@@ -1,7 +1,13 @@
+import shlex
+from pathlib import Path
+
 import pytest
 
 import lasched
+from lasched import SchedulerId, policy_for
 from lasched.cli import dispatch
+
+GOLDEN = Path(__file__).parent / "cli_golden"
 
 
 def run(capsys, *argv):
@@ -34,6 +40,22 @@ def test_simulate_trace(capsys):
     assert code == 0
     assert "job 1: p=7 future=[4] -> M3" in out
     assert "job 5: p=11 future=[] -> M2" in out
+
+
+def test_simulate_trace_runs_the_policy_once(capsys, monkeypatch):
+    policy = policy_for(SchedulerId.THREE_LA1)
+    choose = policy.choose
+    calls = []
+
+    def counted(loads, window):
+        calls.append(window)
+        return choose(loads, window)
+
+    monkeypatch.setattr(policy, "choose", counted)
+    code, _, _ = run(capsys, "simulate", "--alg", "3la1", "--m", "3",
+                     "--family", "thm4:case=1", "--trace")
+    assert code == 0
+    assert len(calls) == 5
 
 
 def test_simulate_scheduler_machine_mismatch_is_usage_error(capsys):
@@ -162,3 +184,51 @@ def test_version(capsys):
     code, out, _ = run(capsys, "--version")
     assert code == 0
     assert out == f"lasched {lasched.__version__}\n"
+
+
+# The README cookbook (less its --jobs 4 run, which the jobs-invariance test
+# above covers) and the error paths.  Each case's directory under
+# cli_golden/ holds its expected stdout, stderr and exit code, plus every
+# file the command writes; commands run in a scratch directory that holds
+# only a copy of cli_golden/jobs.txt.
+GOLDEN_COMMANDS = {
+    "simulate_trace": "simulate --alg 2la1 --m 2 --k 1 --family theorem2:n=6 --trace",
+    "simulate_file": "simulate --alg ls --m 2 --instance jobs.txt",
+    "oracle_thm4": "oracle --m 3 --family thm4:case=1",
+    "verify_2la1_n7": "verify --alg 2la1 --m 2 --k 1 --nmax 7 --values 1,2,3 --bound 4/3",
+    "verify_2la1_n5": "verify --alg 2la1 --m 2 --k 1 --nmax 5 --values 1,2,3,4,5,6 --bound 4/3",
+    "verify_3la1_n6": "verify --alg 3la1 --m 3 --k 1 --nmax 6 --values 1,2,3 --bound 16/11",
+    "adversary_thm1": "adversary --game thm1 --alg ls --n 100 --k 1 --x 1",
+    "adversary_thm4": "adversary --game thm4 --alg 3la1",
+    "generate_family": "generate --family lemma6:x=1 --output units33.txt",
+    "generate_random": "generate --random 20 --values 1,2,3 --seed 7",
+    "sweep_theorem2": "sweep --alg 2la1 --m 2 --k 1 --family theorem2:n=4..20 --csv sweep.csv",
+    "sweep_thm4": "sweep --alg 3la1 --m 3 --k 1 --family thm4",
+    "error_mismatch": "simulate --alg 2la1 --m 3 --family fig1",
+    "error_k0": "simulate --alg 2la1 --m 2 --k 0 --family fig1",
+    "error_m0": "oracle --m 0 --family fig1",
+    "error_family_unknown": "generate --family nope",
+    "error_family_bare_with_param": "generate --family fig1:x=1",
+    "error_family_wrong_key": "generate --family theorem2:x=4",
+    "error_family_not_integer": "generate --family theorem2:n=six",
+    "error_family_theorem2_low": "generate --family theorem2:n=3",
+    "error_family_corollary21_low": "generate --family corollary21:x=0",
+    "error_family_lemma6_low": "generate --family lemma6:x=0",
+    "error_family_thm4_case": "generate --family thm4:case=4",
+    "error_family_bad_range": "sweep --alg ls --m 2 --family theorem2:n=4..x",
+    "error_values_empty": "verify --alg ls --m 2 --nmax 2 --values '' --bound 3/2",
+    "error_values_token": "verify --alg ls --m 2 --nmax 2 --values 1,x --bound 3/2",
+}
+
+
+@pytest.mark.parametrize("case", GOLDEN_COMMANDS)
+def test_cli_bytes_match_golden(capsys, tmp_path, monkeypatch, case):
+    (tmp_path / "jobs.txt").write_bytes((GOLDEN / "jobs.txt").read_bytes())
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run(capsys, *shlex.split(GOLDEN_COMMANDS[case]))
+    expected = {path.name: path.read_bytes() for path in (GOLDEN / case).iterdir()}
+    assert code == int(expected.pop("exit"))
+    assert out.encode() == expected.pop("stdout")
+    assert err.encode() == expected.pop("stderr")
+    written = {path.name: path.read_bytes() for path in tmp_path.iterdir() if path.name != "jobs.txt"}
+    assert written == expected

@@ -113,8 +113,8 @@ def test_dp_matches_exhaustive_random(instance, m):
 def test_witness_validity(instance, m):
     result = optimal_makespan(instance, m)
     loads = [F(0)] * m
-    for job in instance.jobs:
-        loads[result.witness_assignment[job.index] - 1] += job.processing_time
+    for i, p in enumerate(instance.processing_times, 1):
+        loads[result.witness_assignment[i] - 1] += p
     assert max(loads) == result.makespan
 
 
