@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import csv
 import io
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import islice, product
@@ -167,6 +166,9 @@ def verify_bound(
     if jobs == 1:
         results = [_scan_chunk(*task) for task in tasks]
     else:
+        # imported only here: it pulls in multiprocessing, which slows every start-up
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             results = list(pool.map(_scan_chunk, *zip(*tasks)))
 

@@ -1,16 +1,21 @@
 """Exact optimal offline makespan, the classic lower bound, and ratios.
 
 The oracle scales all processing times to integers by the LCM of their
-denominators and runs a reachable-load dynamic program: a subset-sum bitset
-for two machines, and for every m >= 3 the reachable load tuples, each kept
-sorted because the machines are identical.  A pure m^n brute force is the
-independent oracle the dynamic programs are tested against.
+denominators.  For two machines a subset-sum bitset gives the value and the
+witness.  For every m >= 3 the value path is a layered reachable-load DP over
+load tuples, each kept sorted because the machines are identical; the
+witness path instead searches for the bound: it probes the lower bound
+max(p_max, ceil(T/m)), bisects up to the LPT makespan, and walks the memo of
+a depth-first feasibility search under the optimal cap.  A pure m^n brute
+force is the independent oracle the dynamic programs are tested against.
 """
 
 from __future__ import annotations
 
+import heapq
 import math
 from bisect import bisect_left
+from collections.abc import Iterator
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
@@ -25,9 +30,12 @@ EXHAUSTIVE_MAX_JOBS = 12
 class CapacityExceeded(SchedulingError):
     """A DP table or the brute-force space would exceed its size bound.
 
-    The m = 2 bitset is bounded by the scaled total work, the sorted-tuple DP
-    by its cumulative state count, the brute force by the job count.  Raised
-    instead of ever degrading accuracy; shrink the instance or raise the caps.
+    The m = 2 bitset is bounded by the scaled total work and the brute force
+    by the job count.  For m >= 3 ``state_cap`` bounds the value path's DP by
+    the load tuples of all its layers together, and the witness path by the
+    memo entries of its feasibility search, summed over every cap it probes.
+    Raised instead of ever degrading accuracy; shrink the instance or raise
+    the caps.
     """
 
 
@@ -98,47 +106,111 @@ def _children(loads: tuple[int, ...], a: int) -> list[tuple[int, ...]]:
     return children
 
 
-def _dp_sorted(
-    ints: list[int], m: int, state_cap: int
-) -> tuple[int, list[set[tuple[int, ...]]]]:
-    """Reachable ascending load tuples after each job; returns (best, layers)."""
+def _dp_sorted(ints: list[int], m: int, state_cap: int) -> int:
+    """Minimum top load over every reachable ascending load tuple, one layer at a time."""
     check_machine_count(m)
-    layers: list[set[tuple[int, ...]]] = [{(0,) * m}]
+    layer = {(0,) * m}
     stored = 1
     for a in ints:
         nxt = set()
-        for loads in layers[-1]:
+        for loads in layer:
             nxt.update(_children(loads, a))
         stored += len(nxt)
         if stored > state_cap:
             raise CapacityExceeded(
                 f"DP table grew past {state_cap} states; use smaller values or raise the cap"
             )
-        layers.append(nxt)
-    best = min(loads[-1] for loads in layers[-1])
-    return best, layers
+        layer = nxt
+    return min(loads[-1] for loads in layer)
 
 
-def _witness_sorted(
-    ints: list[int], m: int, best: int, layers: list[set[tuple[int, ...]]]
-) -> list[int]:
-    goods = [{loads for loads in layers[-1] if loads[-1] == best}]
-    for a, layer in zip(reversed(ints), reversed(layers[:-1])):
-        later = goods[-1]
-        goods.append({loads for loads in layer if not later.isdisjoint(_children(loads, a))})
-    goods.reverse()
+def _lpt_makespan(ints: list[int], m: int) -> int:
+    """Makespan of Longest Processing Time first: a real schedule, so a feasible cap."""
+    loads = [0] * m
+    for a in sorted(ints, reverse=True):
+        heapq.heapreplace(loads, loads[0] + a)
+    return max(loads)
+
+
+def _bounded_sorted(ints: list[int], m: int, state_cap: int) -> tuple[int, list[int]]:
+    """Smallest feasible cap between the lower bound and LPT, and its smallest witness."""
+    check_machine_count(m)
+    n = len(ints)
+    stored = 0
+
+    def fits(cap: int, memo: dict[tuple[int, ...], bool], i: int, root: tuple[int, ...]) -> bool:
+        """Whether jobs i.. fit on top of ascending loads root with no load above cap.
+
+        An iterative depth-first search, so the job count is not bounded by the
+        recursion limit.  Positive jobs make prefix sums strictly increasing, so a
+        tuple's sum fixes how many jobs it holds and the memo is keyed by loads.
+        """
+        nonlocal stored
+        if i == n:
+            return True
+        known = memo.get(root)
+        if known is not None:
+            return known
+
+        def kids(depth: int, loads: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
+            return (c for c in _children(loads, ints[depth]) if c[-1] <= cap)
+
+        path, frames = [root], [kids(i, root)]
+        while frames:
+            depth = i + len(frames)  # jobs placed in each child of the top frame
+            for child in frames[-1]:
+                known = True if depth == n else memo.get(child)
+                if known:
+                    # a feasible child makes every state on the path feasible
+                    memo.update(dict.fromkeys(path, True))
+                    stored += len(path)
+                    break
+                if known is None:
+                    path.append(child)
+                    frames.append(kids(depth, child))
+                    break
+            else:
+                memo[path.pop()] = False
+                frames.pop()
+                stored += 1
+                known = False
+            if stored > state_cap:
+                raise CapacityExceeded(
+                    f"DP table grew past {state_cap} states; use smaller values or raise the cap"
+                )
+            if known:
+                return True
+        return False
+
+    root = (0,) * m
+    lo = max(max(ints), -(-sum(ints) // m))
+    best = _lpt_makespan(ints, m)
+    memo: dict[tuple[int, ...], bool] = {}
+    if lo < best:
+        # probe the lower bound first; if it fails, bisect (lo, best] with lo
+        # infeasible and best feasible, keeping the memo of the smallest best
+        probe: dict[tuple[int, ...], bool] = {}
+        if fits(lo, probe, 0, root):
+            best, memo = lo, probe
+        while best - lo > 1:
+            mid = (lo + best) // 2
+            probe = {}
+            if fits(mid, probe, 0, root):
+                best, memo = mid, probe
+            else:
+                lo = mid
     machines = []
     loads = [0] * m
     for i, a in enumerate(ints):
-        # the lowest machine whose sorted result can still reach the optimum:
+        # the lowest machine whose sorted result can still finish within best:
         # this walk yields the lexicographically smallest optimal witness
         for j in range(m):
             loads[j] += a
-            if tuple(sorted(loads)) in goods[i + 1]:
+            if loads[j] <= best and fits(best, memo, i + 1, tuple(sorted(loads))):
                 machines.append(j + 1)
                 break
             loads[j] -= a
-    return machines
+    return best, machines
 
 
 def exhaustive_optimal_makespan(instance: Instance, machine_count: int) -> OptResult:
@@ -181,7 +253,7 @@ def optimal_makespan_value(
     if machine_count == 2:
         best, _ = _dp_two(ints, scaled_total_cap)
     else:
-        best, _ = _dp_sorted(ints, machine_count, state_cap)
+        best = _dp_sorted(ints, machine_count, state_cap)
     return Fraction(best, scale)
 
 
@@ -194,10 +266,15 @@ def optimal_makespan(
 ) -> OptResult:
     """Exact minimum makespan over all assignments, plus one witness.
 
-    Runs a dynamic program on the processing times scaled to integers: a
-    subset-sum bitset for m = 2 (bounded by ``scaled_total_cap``), sorted
-    load tuples for every m >= 3 (bounded by ``state_cap``).  The witness is
-    the lexicographically smallest optimal assignment, the same one
+    Works on the processing times scaled to integers.  For m = 2 it runs the
+    subset-sum bitset (bounded by ``scaled_total_cap``).  For every m >= 3 it
+    searches between the lower bound max(p_max, ceil(T/m)) and the LPT
+    makespan: a memoised depth-first search over sorted load tuples that
+    never exceed a cap tests the lower bound first, then bisects up to LPT.
+    Memo entries over all probes are bounded by ``state_cap``.  The search
+    does not recurse per job, so instances of thousands of jobs are fine.
+    ``optimal_makespan_value`` keeps the full layered DP.  The witness is the
+    lexicographically smallest optimal assignment, the same one
     ``exhaustive_optimal_makespan`` returns.
     """
     ints, scale = _scaled_ints(instance)
@@ -205,8 +282,7 @@ def optimal_makespan(
         best, layers = _dp_two(ints, scaled_total_cap)
         machines = _witness_two(ints, best, layers)
     else:
-        best, layers = _dp_sorted(ints, machine_count, state_cap)
-        machines = _witness_sorted(ints, machine_count, best, layers)
+        best, machines = _bounded_sorted(ints, machine_count, state_cap)
     return OptResult(Fraction(best, scale), {i: m for i, m in enumerate(machines, 1)})
 
 

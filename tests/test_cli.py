@@ -90,6 +90,15 @@ def test_oracle_answers_more_than_twelve_jobs_at_m5(capsys):
     assert "lower_bound: 33/5\n" in out
 
 
+def test_oracle_answers_660_unit_jobs_at_m3(capsys):
+    code, out, err = run(capsys, "oracle", "--m", "3", "--family", "lemma6:x=20")
+    assert code == 0
+    assert err == ""
+    assert "opt_makespan: 220\n" in out
+    witness = out.split("witness_machines: ")[1].rstrip("\n").split(",")
+    assert [witness.count(str(machine)) for machine in (1, 2, 3)] == [220, 220, 220]
+
+
 @pytest.mark.parametrize("m", ["0", "-1"])
 def test_oracle_rejects_too_few_machines(capsys, m):
     code, out, err = run(capsys, "oracle", "--m", m, "--family", "fig1")

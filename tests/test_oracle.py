@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction as F
 
 import pytest
@@ -65,6 +66,38 @@ def test_capacity_exceeded():
         exhaustive_optimal_makespan(make_instance([1] * 13), 5)
     with pytest.raises(CapacityExceeded, match="past 10 states"):
         optimal_makespan(make_instance([1, 2, 3, 4, 5]), 3, state_cap=10)
+
+
+def test_witness_search_does_not_recurse_per_job():
+    result = optimal_makespan(make_instance([1] * 1200), 3)
+    assert result.makespan == 400
+    machines = list(result.witness_assignment.values())
+    assert [machines.count(machine) for machine in (1, 2, 3)] == [400, 400, 400]
+
+
+# the lower bound max(p_max, ceil(T/m)) is infeasible, so the search bisects up to LPT
+@pytest.mark.parametrize("times", [[2, 2, 2, 2], [F(1001, 1000)] * 4])
+def test_witness_search_bisects_past_the_lower_bound(times):
+    instance = make_instance(times)
+    assert opt_lower_bound(instance, 3) < optimal_makespan_value(instance, 3)
+    assert optimal_makespan(instance, 3) == exhaustive_optimal_makespan(instance, 3)
+
+
+def test_witness_search_on_oracle_mix_sizes():
+    # the m=3 and m=4 shapes of the benchmark's oracle-mix ladder, two of each size
+    rng = random.Random(11)
+    shapes = [(3, n, 40) for n in range(8, 17)] + [(4, n, 9) for n in (5, 6, 7)]
+    for m, n, high in shapes:
+        for _ in range(2):
+            instance = make_instance([rng.randint(1, high) for _ in range(n)])
+            result = optimal_makespan(instance, m)
+            assert result.makespan == optimal_makespan_value(instance, m)
+            loads = [0] * m
+            for i, p in enumerate(instance.processing_times, 1):
+                loads[result.witness_assignment[i] - 1] += p
+            assert max(loads) == result.makespan
+            if n <= 8:
+                assert result == exhaustive_optimal_makespan(instance, m)
 
 
 @pytest.mark.parametrize(
