@@ -31,7 +31,6 @@ from .algorithms import (
 )
 from .core import (
     EmptyInstance,
-    IndexOutOfRange,
     Instance,
     InvalidParam,
     LookaheadWindow,
@@ -43,7 +42,6 @@ from .core import (
     build_schedule,
     format_instance_text,
     format_rational,
-    lookahead_window,
     make_instance,
     parse_instance_text,
     parse_rational,

@@ -33,17 +33,10 @@ _THM4_TAILS: dict[str, tuple[int, int]] = {
 
 THM4_CASE_IDS = tuple(_THM4_TAILS)
 
-
-def _thm4_jobs(case: str) -> list[int]:
-    if case not in _THM4_TAILS:
-        raise InvalidParam(f"thm4 case must be one of {', '.join(THM4_CASE_IDS)}, got {case!r}")
-    return [7, 4, 4, *_THM4_TAILS[case]]
-
-
-# kind -> (parameter key, smallest integer value, job sequence of the
-# parameter).  A bare family has no key; a keyed family with no smallest
-# value takes a string id, which its job sequence checks.
-_FAMILIES: dict[str, tuple[str | None, int | None, Callable[..., list[int]]]] = {
+# kind -> (parameter key, parameter domain, job sequence of the parameter).
+# A bare family has no key.  An integer domain is the smallest value; a tuple
+# domain lists every string id.
+_FAMILIES: dict[str, tuple[str | None, int | tuple[str, ...] | None, Callable[..., list[int]]]] = {
     "fig1": (None, None, lambda _: [1, 1, 2]),
     "theorem2": ("n", 4, lambda n: [1] * (n - 3) + [n, 2 * n + 3, 2 * n]),
     "corollary21": ("x", 1, lambda x: [1] * (6 * x)),
@@ -51,7 +44,7 @@ _FAMILIES: dict[str, tuple[str | None, int | None, Callable[..., list[int]]]] = 
     "lemma5a": (None, None, lambda _: [17, 14, 1, 1]),
     "lemma5b": (None, None, lambda _: [1, 1, 14, 17]),
     "lemma6": ("x", 1, lambda x: [1] * (33 * x)),
-    "thm4": ("case", None, _thm4_jobs),
+    "thm4": ("case", THM4_CASE_IDS, lambda case: [7, 4, 4, *_THM4_TAILS[case]]),
 }
 
 
@@ -68,7 +61,7 @@ def parse_family_id(text: str) -> FamilyId:
     kind, sep, rest = text.partition(":")
     if kind not in _FAMILIES:
         raise InvalidParam(f"unknown family {text!r}")
-    key, low, _ = _FAMILIES[kind]
+    key, domain, _ = _FAMILIES[kind]
     if key is None:
         if sep:
             raise InvalidParam(f"family {kind!r} takes no parameter")
@@ -77,12 +70,35 @@ def parse_family_id(text: str) -> FamilyId:
     if not rest.startswith(prefix):
         raise InvalidParam(f"family {kind!r} needs a {prefix}<value> parameter")
     raw = rest[len(prefix):]
-    if low is None:
+    if not isinstance(domain, int):
         return FamilyId(kind, raw)
     try:
         return FamilyId(kind, int(raw))
     except ValueError:
         raise InvalidParam(f"family {kind!r} needs an integer {key}, got {raw!r}") from None
+
+
+def parse_family_range(text: str) -> list[FamilyId]:
+    """Expand a sweep's --family argument into the ids it names.
+
+    An integer-keyed family takes a "low..high" range ("theorem2:n=4..20"),
+    and a string-keyed family given bare ("thm4") names all its ids; any
+    other text is one id for :func:`parse_family_id`.
+    """
+    kind, sep, rest = text.partition(":")
+    key, domain, _ = _FAMILIES.get(kind, (None, None, None))
+    if isinstance(domain, tuple) and not sep:
+        return [FamilyId(kind, param) for param in domain]
+    prefix = f"{key}="
+    if isinstance(domain, int) and rest.startswith(prefix) and ".." in rest:
+        raw = rest[len(prefix):]
+        low, high = raw.split("..", 1)
+        try:
+            values = range(int(low), int(high) + 1)
+        except ValueError:
+            raise InvalidParam(f"bad range {raw!r} in --family") from None
+        return [FamilyId(kind, value) for value in values]
+    return [parse_family_id(text)]
 
 
 def format_family_id(family: FamilyId) -> str:
@@ -96,9 +112,11 @@ def named_instance(family: FamilyId) -> Instance:
     kind, param = family.kind, family.param
     if kind not in _FAMILIES:
         raise InvalidParam(f"unknown family kind {kind!r}")
-    key, low, jobs = _FAMILIES[kind]
-    if low is not None and (not isinstance(param, int) or param < low):
-        raise InvalidParam(f"{kind} needs {key} >= {low}, got {param!r}")
+    key, domain, jobs = _FAMILIES[kind]
+    if isinstance(domain, int) and (not isinstance(param, int) or param < domain):
+        raise InvalidParam(f"{kind} needs {key} >= {domain}, got {param!r}")
+    if isinstance(domain, tuple) and param not in domain:
+        raise InvalidParam(f"{kind} {key} must be one of {', '.join(domain)}, got {param!r}")
     return make_instance(jobs(param))
 
 

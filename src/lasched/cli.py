@@ -14,12 +14,11 @@ import sys
 
 from . import __version__
 from .adversaries import (
-    THM4_CASE_IDS,
-    FamilyId,
     GameTranscript,
     format_family_id,
     named_instance,
     parse_family_id,
+    parse_family_range,
     play_theorem1,
     play_theorem4,
 )
@@ -229,24 +228,8 @@ def _cmd_generate(args) -> int:
     return 0
 
 
-def _parse_family_range(text: str) -> list[FamilyId]:
-    kind, sep, rest = text.partition(":")
-    if kind == "thm4" and not sep:
-        return [FamilyId("thm4", case) for case in THM4_CASE_IDS]
-    if sep and "=" in rest:
-        key, raw = rest.split("=", 1)
-        if ".." in raw and kind != "thm4":
-            low, high = raw.split("..", 1)
-            try:
-                low_i, high_i = int(low), int(high)
-            except ValueError:
-                raise _UsageError(f"bad range {raw!r} in --family") from None
-            return [parse_family_id(f"{kind}:{key}={value}") for value in range(low_i, high_i + 1)]
-    return [parse_family_id(text)]
-
-
 def _cmd_sweep(args) -> int:
-    families = _parse_family_range(args.family)
+    families = parse_family_range(args.family)
     rows = run_family_sweep(args.alg, families, args.m, _default_k(args))
     for row in rows:
         print(

@@ -44,10 +44,6 @@ class ParseError(SchedulingError):
         super().__init__(f"line {line}: cannot parse {token!r} as a rational")
 
 
-class IndexOutOfRange(SchedulingError):
-    """Job index outside 1..n."""
-
-
 class InvalidParam(SchedulingError):
     """A parameter violates its documented precondition."""
 
@@ -162,20 +158,6 @@ def parse_instance_text(text: str) -> Instance:
 def format_instance_text(instance: Instance) -> str:
     """Render an instance in the file format parsed by parse_instance_text."""
     return "".join(f"{format_rational(p)}\n" for p in instance.processing_times)
-
-
-def lookahead_window(instance: Instance, i: int, k: int) -> LookaheadWindow:
-    """Reveal p_i plus the next k processing times, truncated at the end.
-
-    len(future) == min(k, n - i); the final job's window has an empty future,
-    which is how policies recognise it without a separate end-of-input signal.
-    """
-    if not 1 <= i <= len(instance):
-        raise IndexOutOfRange(f"job index {i} outside 1..{len(instance)}")
-    if k < 1:
-        raise InvalidParam(f"lookahead size must be >= 1, got {k}")
-    times = instance.processing_times
-    return LookaheadWindow(times[i - 1], times[i : i + k])
 
 
 def check_machine_count(machine_count: int) -> None:

@@ -1,13 +1,15 @@
 """Exact optimal offline makespan, the classic lower bound, and ratios.
 
 The oracle scales all processing times to integers by the LCM of their
-denominators.  For two machines a subset-sum bitset gives the value and the
-witness.  For every m >= 3 the value path is a layered reachable-load DP over
-load tuples, each kept sorted because the machines are identical; the
-witness path instead searches for the bound: it probes the lower bound
-max(p_max, ceil(T/m)), bisects up to the LPT makespan, and walks the memo of
-a depth-first feasibility search under the optimal cap.  A pure m^n brute
-force is the independent oracle the dynamic programs are tested against.
+denominators.  One search gives the value and witness of every m >= 2, with
+no scaled-total cap: it probes the lower bound max(p_max, ceil(T/m)), bisects
+up to the LPT makespan, and under each cap runs a depth-first search that
+tries machine 1 first, so the probe at the optimal cap returns the witness.
+The value paths are unchanged: a subset-sum bitset for m = 2 and, for every
+m >= 3, a layered reachable-load DP over load tuples, each kept sorted
+because the machines are identical.  Sending the m >= 3 value through the
+search waits for the benchmark fix of ROADMAP item 1.  A pure m^n brute
+force is the independent oracle both paths are tested against.
 """
 
 from __future__ import annotations
@@ -15,7 +17,6 @@ from __future__ import annotations
 import heapq
 import math
 from bisect import bisect_left
-from collections.abc import Iterator
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
@@ -30,12 +31,13 @@ EXHAUSTIVE_MAX_JOBS = 12
 class CapacityExceeded(SchedulingError):
     """A DP table or the brute-force space would exceed its size bound.
 
-    The m = 2 bitset is bounded by the scaled total work and the brute force
-    by the job count.  For m >= 3 ``state_cap`` bounds the value path's DP by
-    the load tuples of all its layers together, and the witness path by the
-    memo entries of its feasibility search, summed over every cap it probes.
-    Raised instead of ever degrading accuracy; shrink the instance or raise
-    the caps.
+    The m = 2 value bitset is bounded by the scaled total work and the brute
+    force by the job count.  For m >= 3 ``state_cap`` bounds the value path's
+    DP by the load tuples of all its layers together.  For every m >= 2 it
+    bounds the witness search by the dead-end load tuples it stores, summed
+    over every cap it probes; that search has no scaled-total cap.  Raised
+    instead of ever degrading accuracy; shrink the instance or raise the
+    caps.
     """
 
 
@@ -56,44 +58,17 @@ def _scaled_ints(instance: Instance) -> tuple[list[int], int]:
     return [int(p * scale) for p in times], scale
 
 
-def _dp_two(ints: list[int], cap: int) -> tuple[int, list[int]]:
-    """Reachable M1 loads after each job, as bitsets; returns (best, layers)."""
+def _dp_two(ints: list[int], cap: int) -> int:
+    """Best makespan from the reachable M1 loads, kept as one bitset."""
     total = sum(ints)
     if total > cap:
         raise CapacityExceeded(
             f"scaled total {total} exceeds cap {cap}; use smaller values or raise the cap"
         )
-    layers = [1]  # bit s set <=> load s on M1 is reachable
-    reach = 1
+    reach = 1  # bit s set <=> load s on M1 is reachable
     for a in ints:
         reach |= reach << a
-        layers.append(reach)
-    best = min(max(s, total - s) for s in range(total + 1) if reach >> s & 1)
-    return best, layers
-
-
-def _witness_two(ints: list[int], best: int, layers: list[int]) -> list[int]:
-    total = sum(ints)
-    goal = 0
-    for s in range(total + 1):
-        if layers[-1] >> s & 1 and max(s, total - s) == best:
-            goal |= 1 << s
-    goods = [goal]
-    for i in range(len(ints) - 1, -1, -1):
-        a = ints[i]
-        goods.append(layers[i] & ((goods[-1] >> a) | goods[-1]))
-    goods.reverse()
-    machines = []
-    s = 0
-    for i, a in enumerate(ints):
-        # prefer M1 whenever it still leads to an optimal completion: this
-        # walk yields the lexicographically smallest optimal witness
-        if goods[i + 1] >> (s + a) & 1:
-            machines.append(1)
-            s += a
-        else:
-            machines.append(2)
-    return machines
+    return min(max(s, total - s) for s in range(total + 1) if reach >> s & 1)
 
 
 def _children(loads: tuple[int, ...], a: int) -> list[tuple[int, ...]]:
@@ -132,85 +107,66 @@ def _lpt_makespan(ints: list[int], m: int) -> int:
     return max(loads)
 
 
-def _bounded_sorted(ints: list[int], m: int, state_cap: int) -> tuple[int, list[int]]:
+def _witness_search(ints: list[int], m: int, state_cap: int) -> tuple[int, list[int]]:
     """Smallest feasible cap between the lower bound and LPT, and its smallest witness."""
     check_machine_count(m)
+    unit = math.gcd(*ints)
+    ints = [a // unit for a in ints]
     n = len(ints)
     stored = 0
 
-    def fits(cap: int, memo: dict[tuple[int, ...], bool], i: int, root: tuple[int, ...]) -> bool:
-        """Whether jobs i.. fit on top of ascending loads root with no load above cap.
+    def probe(cap: int) -> list[int] | None:
+        """The lexicographically smallest assignment with no load above cap, if any.
 
-        An iterative depth-first search, so the job count is not bounded by the
-        recursion limit.  Positive jobs make prefix sums strictly increasing, so a
-        tuple's sum fixes how many jobs it holds and the memo is keyed by loads.
+        An iterative depth-first search over labelled loads that tries machine 1
+        first, so the job count is not bounded by the recursion limit.  Whether
+        jobs i.. still fit depends only on the sorted loads, whose sum fixes i
+        because jobs are positive, so every sorted tuple whose subtree failed
+        goes into one dead-end set.
         """
         nonlocal stored
-        if i == n:
-            return True
-        known = memo.get(root)
-        if known is not None:
-            return known
-
-        def kids(depth: int, loads: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
-            return (c for c in _children(loads, ints[depth]) if c[-1] <= cap)
-
-        path, frames = [root], [kids(i, root)]
-        while frames:
-            depth = i + len(frames)  # jobs placed in each child of the top frame
-            for child in frames[-1]:
-                known = True if depth == n else memo.get(child)
-                if known:
-                    # a feasible child makes every state on the path feasible
-                    memo.update(dict.fromkeys(path, True))
-                    stored += len(path)
+        dead: set[tuple[int, ...]] = set()
+        loads = [0] * m
+        machines: list[int] = []
+        j = 0  # the next machine to try for job len(machines)
+        while len(machines) < n:
+            a = ints[len(machines)]
+            while j < m:
+                loads[j] += a
+                if loads[j] <= cap and tuple(sorted(loads)) not in dead:
                     break
-                if known is None:
-                    path.append(child)
-                    frames.append(kids(depth, child))
-                    break
-            else:
-                memo[path.pop()] = False
-                frames.pop()
-                stored += 1
-                known = False
+                loads[j] -= a
+                j += 1
+            if j < m:
+                machines.append(j)
+                j = 0
+                continue
+            dead.add(tuple(sorted(loads)))
+            stored += 1
             if stored > state_cap:
                 raise CapacityExceeded(
                     f"DP table grew past {state_cap} states; use smaller values or raise the cap"
                 )
-            if known:
-                return True
-        return False
+            if not machines:
+                return None
+            j = machines.pop()
+            loads[j] -= ints[len(machines)]
+            j += 1
+        return [j + 1 for j in machines]
 
-    root = (0,) * m
-    lo = max(max(ints), -(-sum(ints) // m))
-    best = _lpt_makespan(ints, m)
-    memo: dict[tuple[int, ...], bool] = {}
-    if lo < best:
-        # probe the lower bound first; if it fails, bisect (lo, best] with lo
-        # infeasible and best feasible, keeping the memo of the smallest best
-        probe: dict[tuple[int, ...], bool] = {}
-        if fits(lo, probe, 0, root):
-            best, memo = lo, probe
-        while best - lo > 1:
-            mid = (lo + best) // 2
-            probe = {}
-            if fits(mid, probe, 0, root):
-                best, memo = mid, probe
-            else:
-                lo = mid
-    machines = []
-    loads = [0] * m
-    for i, a in enumerate(ints):
-        # the lowest machine whose sorted result can still finish within best:
-        # this walk yields the lexicographically smallest optimal witness
-        for j in range(m):
-            loads[j] += a
-            if loads[j] <= best and fits(best, memo, i + 1, tuple(sorted(loads))):
-                machines.append(j + 1)
-                break
-            loads[j] -= a
-    return best, machines
+    # probe the lower bound first; if it fails, bisect up to LPT, with every
+    # cap <= low infeasible and high feasible
+    cap = max(max(ints), -(-sum(ints) // m))
+    low, high = cap - 1, _lpt_makespan(ints, m)
+    while True:
+        machines = probe(cap)
+        if machines is None:
+            low = cap
+        elif cap == low + 1:
+            return cap * unit, machines
+        else:
+            high = cap
+        cap = (low + high + 1) // 2
 
 
 def exhaustive_optimal_makespan(instance: Instance, machine_count: int) -> OptResult:
@@ -251,38 +207,32 @@ def optimal_makespan_value(
     """Exact minimum makespan without witness reconstruction (fast path)."""
     ints, scale = _scaled_ints(instance)
     if machine_count == 2:
-        best, _ = _dp_two(ints, scaled_total_cap)
+        best = _dp_two(ints, scaled_total_cap)
     else:
         best = _dp_sorted(ints, machine_count, state_cap)
     return Fraction(best, scale)
 
 
 def optimal_makespan(
-    instance: Instance,
-    machine_count: int,
-    *,
-    scaled_total_cap: int = DEFAULT_SCALED_TOTAL_CAP,
-    state_cap: int = DEFAULT_STATE_CAP,
+    instance: Instance, machine_count: int, *, state_cap: int = DEFAULT_STATE_CAP
 ) -> OptResult:
     """Exact minimum makespan over all assignments, plus one witness.
 
-    Works on the processing times scaled to integers.  For m = 2 it runs the
-    subset-sum bitset (bounded by ``scaled_total_cap``).  For every m >= 3 it
-    searches between the lower bound max(p_max, ceil(T/m)) and the LPT
-    makespan: a memoised depth-first search over sorted load tuples that
-    never exceed a cap tests the lower bound first, then bisects up to LPT.
-    Memo entries over all probes are bounded by ``state_cap``.  The search
+    One search serves every m >= 2, on the processing times scaled to
+    integers and divided by their gcd, with no scaled-total cap.  It probes
+    the lower bound max(p_max, ceil(T/m)) first, then bisects up to the LPT
+    makespan; each probe is a depth-first search over labelled loads that
+    tries machine 1 first and never lets a load exceed the cap.  Dead-end
+    load tuples over all probes are bounded by ``state_cap``.  The search
     does not recurse per job, so instances of thousands of jobs are fine.
-    ``optimal_makespan_value`` keeps the full layered DP.  The witness is the
-    lexicographically smallest optimal assignment, the same one
+    ``optimal_makespan_value`` keeps its own value paths unchanged; moving
+    its m >= 3 DP onto this search waits for ROADMAP item 1's benchmark fix.
+    The first assignment the probe at the optimal cap reaches is the
+    lexicographically smallest optimal one, the same witness
     ``exhaustive_optimal_makespan`` returns.
     """
     ints, scale = _scaled_ints(instance)
-    if machine_count == 2:
-        best, layers = _dp_two(ints, scaled_total_cap)
-        machines = _witness_two(ints, best, layers)
-    else:
-        best, machines = _bounded_sorted(ints, machine_count, state_cap)
+    best, machines = _witness_search(ints, machine_count, state_cap)
     return OptResult(Fraction(best, scale), {i: m for i, m in enumerate(machines, 1)})
 
 

@@ -157,6 +157,30 @@ def test_revelation_compliance(scheduler, m, k, instance):
         assert mutated_trace.decisions[:i] == trace.decisions[:i]
 
 
+def test_run_policy_window_examples():
+    instance = make_instance([1, 1, 2])
+    _, trace = run_policy(instance, policy_for(SchedulerId.LS), 2, 1)
+    first, _, last = (record.window for record in trace.records)
+    assert (first.current, first.future) == (F(1), (F(1),))
+    assert (last.current, last.future) == (F(2), ())
+    _, trace = run_policy(instance, policy_for(SchedulerId.LS), 2, 5)
+    first = trace.records[0].window
+    assert (first.current, first.future) == (F(1), (F(1), F(2)))
+
+
+@given(instance=instances, k=st.integers(min_value=1, max_value=10))
+def test_run_policy_window_length(instance, k):
+    # the final job's window has an empty future, which is how policies
+    # recognise it without a separate end-of-input signal
+    times = instance.processing_times
+    n = len(times)
+    _, trace = run_policy(instance, policy_for(SchedulerId.LS), 2, k)
+    for i, record in enumerate(trace.records, 1):
+        assert record.window.current == times[i - 1]
+        assert len(record.window.future) == min(k, n - i)
+        assert record.window.future == times[i : i + k]
+
+
 def test_run_policy_validations():
     from lasched import InvalidParam, SchedulerMachineMismatch
 

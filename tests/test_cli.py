@@ -99,6 +99,17 @@ def test_oracle_answers_660_unit_jobs_at_m3(capsys):
     assert [witness.count(str(machine)) for machine in (1, 2, 3)] == [220, 220, 220]
 
 
+# one search gives every witness, with no scaled-total cap at m = 2
+@pytest.mark.parametrize("m,family,opt", [("3", "lemma6:x=100", 1100), ("2", "lemma6:x=700", 11550)])
+def test_oracle_answers_long_unit_instances(capsys, m, family, opt):
+    code, out, err = run(capsys, "oracle", "--m", m, "--family", family)
+    assert code == 0
+    assert err == ""
+    assert f"opt_makespan: {opt}\n" in out
+    witness = out.split("witness_machines: ")[1].rstrip("\n").split(",")
+    assert [witness.count(str(machine)) for machine in range(1, int(m) + 1)] == [opt] * int(m)
+
+
 @pytest.mark.parametrize("m", ["0", "-1"])
 def test_oracle_rejects_too_few_machines(capsys, m):
     code, out, err = run(capsys, "oracle", "--m", m, "--family", "fig1")

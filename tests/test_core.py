@@ -5,13 +5,10 @@ from hypothesis import given, strategies as st
 
 from lasched import (
     EmptyInstance,
-    IndexOutOfRange,
-    InvalidParam,
     NonPositiveTime,
     ParseError,
     format_instance_text,
     format_rational,
-    lookahead_window,
     make_instance,
     parse_instance_text,
     parse_rational,
@@ -87,33 +84,3 @@ def test_rational_round_trip(value):
 @given(instances)
 def test_instance_text_round_trip(instance):
     assert parse_instance_text(format_instance_text(instance)) == instance
-
-
-def test_lookahead_window_examples():
-    instance = make_instance([1, 1, 2])
-    w = lookahead_window(instance, 1, 1)
-    assert (w.current, w.future) == (F(1), (F(1),))
-    w = lookahead_window(instance, 3, 1)
-    assert (w.current, w.future) == (F(2), ())
-    w = lookahead_window(instance, 1, 5)
-    assert (w.current, w.future) == (F(1), (F(1), F(2)))
-
-
-def test_lookahead_window_errors():
-    instance = make_instance([1, 1, 2])
-    with pytest.raises(IndexOutOfRange):
-        lookahead_window(instance, 0, 1)
-    with pytest.raises(IndexOutOfRange):
-        lookahead_window(instance, 4, 1)
-    with pytest.raises(InvalidParam):
-        lookahead_window(instance, 1, 0)
-
-
-@given(instances, st.integers(min_value=1, max_value=10))
-def test_lookahead_window_length(instance, k):
-    n = len(instance)
-    for i in range(1, n + 1):
-        window = lookahead_window(instance, i, k)
-        assert window.current == instance.processing_times[i - 1]
-        assert len(window.future) == min(k, n - i)
-        assert window.future == instance.processing_times[i : i + k]

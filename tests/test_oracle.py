@@ -60,27 +60,40 @@ def test_optimal_makespan_m4():
 def test_capacity_exceeded():
     with pytest.raises(CapacityExceeded):
         optimal_makespan_value(make_instance([30000]), 2)
+    # the witness search has no scaled-total cap
+    assert optimal_makespan(make_instance([30000]), 2).makespan == 30000
     with pytest.raises(CapacityExceeded):
         optimal_makespan_value(make_instance([1] * 10), 2, scaled_total_cap=5)
     with pytest.raises(CapacityExceeded):
         exhaustive_optimal_makespan(make_instance([1] * 13), 5)
-    with pytest.raises(CapacityExceeded, match="past 10 states"):
-        optimal_makespan(make_instance([1, 2, 3, 4, 5]), 3, state_cap=10)
+    # the witness search stores 5 dead-end load tuples on this instance
+    instance = make_instance([1, 2, 3, 4, 5])
+    with pytest.raises(CapacityExceeded, match="past 4 states"):
+        optimal_makespan(instance, 3, state_cap=4)
+    assert optimal_makespan(instance, 3, state_cap=5).makespan == 5
 
 
 def test_witness_search_does_not_recurse_per_job():
-    result = optimal_makespan(make_instance([1] * 1200), 3)
-    assert result.makespan == 400
+    for m in (2, 3):
+        result = optimal_makespan(make_instance([1] * 1200), m)
+        assert result.makespan == 1200 // m
+        machines = list(result.witness_assignment.values())
+        assert [machines.count(machine) for machine in range(1, m + 1)] == [1200 // m] * m
+    # the search runs on the scaled times divided by their gcd
+    result = optimal_makespan(make_instance([7] * 3001), 3)
+    assert result.makespan == 7007
     machines = list(result.witness_assignment.values())
-    assert [machines.count(machine) for machine in (1, 2, 3)] == [400, 400, 400]
+    assert [machines.count(machine) for machine in (1, 2, 3)] == [1001, 1001, 999]
 
 
-# the lower bound max(p_max, ceil(T/m)) is infeasible, so the search bisects up to LPT
-@pytest.mark.parametrize("times", [[2, 2, 2, 2], [F(1001, 1000)] * 4])
+# each lower bound max(p_max, ceil(T/m)) is infeasible at m = 3 or m = 2,
+# where the search bisects up to LPT
+@pytest.mark.parametrize("times", [[2, 2, 2, 2], [F(1001, 1000)] * 4, [2, 2, 2]])
 def test_witness_search_bisects_past_the_lower_bound(times):
     instance = make_instance(times)
-    assert opt_lower_bound(instance, 3) < optimal_makespan_value(instance, 3)
-    assert optimal_makespan(instance, 3) == exhaustive_optimal_makespan(instance, 3)
+    assert any(opt_lower_bound(instance, m) < optimal_makespan_value(instance, m) for m in (2, 3))
+    for m in (2, 3):
+        assert optimal_makespan(instance, m) == exhaustive_optimal_makespan(instance, m)
 
 
 def test_witness_search_on_oracle_mix_sizes():
