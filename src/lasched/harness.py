@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import csv
 import io
+import os
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import islice, product
@@ -81,6 +82,8 @@ def _check_values(values: Sequence[Rational]) -> tuple[Rational, ...]:
         raise InvalidParam("value set must be non-empty")
     if any(v <= 0 for v in values):
         raise InvalidParam("all values must be positive")
+    if len(set(values)) < len(values):
+        raise InvalidParam(f"values must be distinct, got {inline_label(values)}")
     return values
 
 
@@ -109,6 +112,11 @@ def _scan_chunk(
 ):
     """Score one contiguous index range of the length-n enumeration.
 
+    OPT depends only on the multiset of processing times, so it is computed
+    once per sorted multiset in the chunk, always on the sorted order: a
+    capacity error then depends on the multiset alone, never on which
+    ordering the chunk met first.
+
     Returns (checked, best_ratio, best_values, violations); picklable
     arguments only, so verification can fan out across processes.
     """
@@ -117,11 +125,15 @@ def _scan_chunk(
     best_ratio: Rational | None = None
     best_values: tuple[Rational, ...] | None = None
     violations: list[tuple[tuple[Rational, ...], Rational]] = []
+    opts: dict[tuple[Rational, ...], Rational] = {}
     for instance in enumerate_instances(n, values, start, stop):
         times = instance.processing_times
+        key = tuple(sorted(times))
         try:
             schedule, _ = run_policy(instance, policy, m, k)
-            opt = optimal_makespan_value(instance, m)
+            opt = opts.get(key)
+            if opt is None:
+                opt = opts[key] = optimal_makespan_value(make_instance(key), m)
         except CapacityExceeded as exc:
             raise CapacityExceeded(f"{exc} (instance {inline_label(times)})") from exc
         ratio = competitive_ratio(schedule.makespan, opt)
@@ -145,7 +157,8 @@ def verify_bound(
     with processing times drawn from the value set.
 
     Never aborts on a violation; every instance exceeding the bound is
-    collected into the report.  The result is identical for any worker
+    collected into the report.  Each chunk computes OPT once per sorted
+    multiset of processing times.  The result is identical for any worker
     count: chunks reduce associatively and argmax ties break towards the
     lexicographically smallest instance.
     """
@@ -153,6 +166,8 @@ def verify_bound(
     if n_max < 1:
         raise InvalidParam(f"n_max must be >= 1, got {n_max}")
     values = _check_values(values)
+    if target_bound < 1:
+        raise InvalidParam(f"target bound must be >= 1, got {target_bound}")
     if jobs < 1:
         raise InvalidParam(f"worker count must be >= 1, got {jobs}")
 
@@ -169,7 +184,10 @@ def verify_bound(
         # imported only here: it pulls in multiprocessing, which slows every start-up
         from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+        # a fork-started pool launches every worker at once, so no more than
+        # the CPUs can use; chunking still follows jobs
+        workers = min(jobs, len(tasks), os.cpu_count() or 1)
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_scan_chunk, *zip(*tasks)))
 
     checked = 0

@@ -238,6 +238,8 @@ GOLDEN_COMMANDS = {
     "error_family_bad_range": "sweep --alg ls --m 2 --family theorem2:n=4..x",
     "error_values_empty": "verify --alg ls --m 2 --nmax 2 --values '' --bound 3/2",
     "error_values_token": "verify --alg ls --m 2 --nmax 2 --values 1,x --bound 3/2",
+    "error_values_duplicate": "verify --alg ls --m 2 --nmax 2 --values 1,1 --bound 3/2",
+    "error_bound_below_one": "verify --alg ls --m 2 --nmax 2 --values 1,2 --bound 0",
 }
 
 

@@ -1,14 +1,19 @@
+import concurrent.futures
 from fractions import Fraction as F
+from math import comb
 
 import pytest
 
+import lasched.harness as harness
 from lasched import (
     CSV_HEADER,
+    CapacityExceeded,
     FamilyId,
     InvalidParam,
     SchedulerId,
     SchedulerMachineMismatch,
     emit_csv,
+    enumerate_instances,
     make_instance,
     named_instance,
     run_family_sweep,
@@ -93,6 +98,116 @@ def test_verify_bound_deterministic_across_worker_counts():
     single = verify_bound(SchedulerId.TWO_LA1, 2, 1, 4, VALUES_123, F(5, 4))
     parallel = verify_bound(SchedulerId.TWO_LA1, 2, 1, 4, VALUES_123, F(5, 4), jobs=4)
     assert single == parallel
+
+
+def _uncached_report(scheduler, m, k, n_max, values, bound):
+    """(checked, max ratio, argmax times, violations) from run_one on every
+    enumerated instance: verify_bound's answer without its OPT cache."""
+    checked, best_ratio, best_times, violations = 0, None, None, []
+    for n in range(1, n_max + 1):
+        for instance in enumerate_instances(n, values):
+            times = instance.processing_times
+            ratio = run_one(scheduler, instance, m, k).ratio
+            checked += 1
+            if best_ratio is None or ratio > best_ratio or (ratio == best_ratio and times < best_times):
+                best_ratio, best_times = ratio, times
+            if ratio > bound:
+                violations.append((times, ratio))
+    return checked, best_ratio, best_times, violations
+
+
+@pytest.mark.parametrize("jobs", [1, 3])
+@pytest.mark.parametrize(
+    "scheduler,m,k,values,bound",
+    [
+        (SchedulerId.THREE_LA1, 3, 1, VALUES_123, F(16, 11)),
+        (SchedulerId.LS, 4, 0, VALUES_123, F(4, 3)),
+        (SchedulerId.TWO_LA1, 2, 1, (F(1, 2), F(1), F(3, 2)), F(5, 4)),
+    ],
+)
+def test_verify_bound_equals_uncached_reference(scheduler, m, k, values, bound, jobs):
+    report = verify_bound(scheduler, m, k, 5, values, bound, jobs=jobs)
+    checked, best_ratio, best_times, violations = _uncached_report(scheduler, m, k, 5, values, bound)
+    assert violations
+    assert report.instances_checked == checked
+    assert report.max_ratio == best_ratio
+    assert report.argmax_instance.processing_times == best_times
+    assert [(inst.processing_times, r) for inst, r in report.violations] == violations
+
+
+def test_verify_bound_calls_the_oracle_once_per_multiset(monkeypatch):
+    oracle = harness.optimal_makespan_value
+    seen = []
+
+    def counted(instance, m):
+        seen.append(instance.processing_times)
+        return oracle(instance, m)
+
+    monkeypatch.setattr(harness, "optimal_makespan_value", counted)
+    verify_bound(SchedulerId.THREE_LA1, 3, 1, 6, VALUES_123, F(16, 11))
+    assert len(seen) == sum(comb(n + 2, 2) for n in range(1, 7)) == 83
+    assert len(set(seen)) == 83
+    assert all(list(times) == sorted(times) for times in seen)
+
+
+def test_verify_bound_capacity_error_names_the_scanned_instance(monkeypatch):
+    oracle = harness.optimal_makespan_value
+    seen = []
+
+    def capped(instance, m):
+        seen.append(instance.processing_times)
+        if instance.processing_times == (F(1), F(2)):
+            raise CapacityExceeded("too big")
+        return oracle(instance, m)
+
+    monkeypatch.setattr(harness, "optimal_makespan_value", capped)
+    # descending values: the multiset {1, 2} is first met as 2,1
+    with pytest.raises(CapacityExceeded, match=r"^too big \(instance 2,1\)$"):
+        verify_bound(SchedulerId.THREE_LA1, 3, 1, 2, (F(3), F(2), F(1)), F(16, 11))
+    assert seen[-1] == (F(1), F(2))
+
+
+class _SerialPool:
+    """Stands in for ProcessPoolExecutor: records max_workers, maps in-process."""
+
+    sizes: list = []
+
+    def __init__(self, max_workers):
+        self.sizes.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, *iterables):
+        return map(fn, *iterables)
+
+
+@pytest.mark.parametrize("cpus,workers", [(2, 2), (64, 14), (None, 1)])
+def test_verify_bound_caps_the_pool_size(monkeypatch, cpus, workers):
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _SerialPool)
+    monkeypatch.setattr(harness.os, "cpu_count", lambda: cpus)
+    monkeypatch.setattr(_SerialPool, "sizes", [])
+    # 2 + 4 + 8 tasks: one instance per chunk at jobs=5000
+    report = verify_bound(SchedulerId.TWO_LA1, 2, 1, 3, (F(1), F(2)), F(1), jobs=5000)
+    assert _SerialPool.sizes == [workers]
+    assert report == verify_bound(SchedulerId.TWO_LA1, 2, 1, 3, (F(1), F(2)), F(1))
+
+
+@pytest.mark.parametrize("values", [(F(1), F(1)), (F(1), F(2, 2))])
+def test_verify_bound_rejects_duplicate_values(values):
+    with pytest.raises(InvalidParam, match="values must be distinct, got 1,1"):
+        verify_bound(SchedulerId.LS, 2, 0, 2, values, F(3, 2))
+    with pytest.raises(InvalidParam, match="distinct"):
+        list(enumerate_instances(2, values))
+
+
+@pytest.mark.parametrize("bound", [F(0), F(-1), F(99, 100)])
+def test_verify_bound_rejects_a_bound_below_one(bound):
+    with pytest.raises(InvalidParam, match=f"target bound must be >= 1, got {bound}$"):
+        verify_bound(SchedulerId.LS, 2, 0, 2, VALUES_123, bound)
 
 
 def test_verify_bound_argmax_prefers_lexicographically_smallest():
