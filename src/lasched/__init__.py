@@ -37,9 +37,7 @@ from .core import (
     NonPositiveTime,
     ParseError,
     Rational,
-    Schedule,
     SchedulingError,
-    build_schedule,
     format_instance_text,
     format_rational,
     make_instance,
@@ -61,7 +59,6 @@ from .oracle import (
     OptResult,
     ZeroOpt,
     competitive_ratio,
-    exhaustive_optimal_makespan,
     opt_lower_bound,
     optimal_makespan,
     optimal_makespan_value,

@@ -14,8 +14,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from collections.abc import Callable, Sequence
 
-from .algorithms import OnlinePolicy, SchedulerId, policy_for, run_policy
-from .core import Instance, InvalidParam, LookaheadWindow, Rational, make_instance
+from .algorithms import DecisionTrace, OnlinePolicy, SchedulerId, policy_for, run_policy
+from .core import Instance, InvalidParam, Rational, make_instance
 from .oracle import competitive_ratio, optimal_makespan_value
 
 # (p4, p5) tails of the five-job ambush family, per case id
@@ -122,12 +122,10 @@ def named_instance(family: FamilyId) -> Instance:
 
 @dataclass(frozen=True)
 class GameTranscript:
-    """One adversary-vs-policy play: what was revealed, chosen, and scored."""
+    """One adversary-vs-policy play: the policy's run on the final instance, and its score."""
 
-    revealed: tuple[LookaheadWindow, ...]
-    decisions: tuple[int, ...]
+    trace: DecisionTrace
     final_instance: Instance
-    alg_makespan: Rational
     opt_makespan: Rational
     ratio: Rational
     case: str
@@ -151,7 +149,7 @@ def _play_prefix(
     the end of the committed values) are dropped without effect.
     """
     assert upto + k <= len(times)
-    _, trace = run_policy(make_instance(times[: upto + k]), policy, machine_count, k)
+    trace = run_policy(make_instance(times[: upto + k]), policy, machine_count, k)
     return trace.records[upto - 1].loads, trace.decisions[:upto]
 
 
@@ -165,17 +163,15 @@ def _finish_game(
     degenerate: bool = False,
 ) -> GameTranscript:
     instance = make_instance(times)
-    schedule, trace = run_policy(instance, policy, machine_count, k)
+    trace = run_policy(instance, policy, machine_count, k)
     if trace.decisions[: len(prefix_decisions)] != prefix_decisions:
         raise RuntimeError("policy is not deterministic: replayed prefix diverged")
     opt = optimal_makespan_value(instance, machine_count)
     return GameTranscript(
-        revealed=tuple(record.window for record in trace.records),
-        decisions=trace.decisions,
+        trace=trace,
         final_instance=instance,
-        alg_makespan=schedule.makespan,
         opt_makespan=opt,
-        ratio=competitive_ratio(schedule.makespan, opt),
+        ratio=competitive_ratio(trace.makespan, opt),
         case=case,
         degenerate=degenerate,
     )
@@ -191,11 +187,10 @@ def play_theorem1(
     n-k arrives): with loads relabelled so a >= b, the final job is k when
     a >= 2b, else 2a - b.  A non-positive final value (impossible once
     n >= k + 2, but guarded anyway) is clamped to 1 and the transcript is
-    flagged degenerate.
+    flagged degenerate.  A policy bound to another machine count raises
+    SchedulerMachineMismatch from run_policy.
     """
     policy = _as_policy(scheduler)
-    if policy.machine_count not in (None, 2):
-        raise InvalidParam("this game is played on two machines")
     if k < max(1, policy.min_lookahead):
         raise InvalidParam(f"lookahead must be >= 1, got {k}")
     if n < k + 2:
@@ -229,11 +224,10 @@ def play_theorem4(scheduler: SchedulerId | OnlinePolicy) -> GameTranscript:
     {4, 7, 8, 11}.  The fifth value is committed when job 4 arrives, from
     the placements of jobs 1..3 alone: 8 if jobs 1 and 2 sit on different
     machines and job 3 joined job 2, else 11.  The transcript's
-    case label records which branch applied.
+    case label records which branch applied.  A policy bound to another
+    machine count raises SchedulerMachineMismatch from run_policy.
     """
     policy = _as_policy(scheduler)
-    if policy.machine_count not in (None, 3):
-        raise InvalidParam("this game is played on three machines")
     k = 1
 
     committed = [Fraction(7), Fraction(4), Fraction(4), Fraction(7)]

@@ -14,14 +14,7 @@ from enum import Enum
 from fractions import Fraction
 from typing import Protocol
 
-from .core import (
-    Instance,
-    InvalidParam,
-    LookaheadWindow,
-    Rational,
-    Schedule,
-    check_machine_count,
-)
+from .core import Instance, InvalidParam, LookaheadWindow, Rational, check_machine_count
 
 
 class SchedulerMachineMismatch(InvalidParam):
@@ -45,11 +38,21 @@ class DecisionRecord:
 
 @dataclass(frozen=True)
 class DecisionTrace:
+    """One policy run over a non-empty instance: a record per job, in order."""
+
     records: tuple[DecisionRecord, ...]
 
     @property
     def decisions(self) -> tuple[int, ...]:
         return tuple(record.machine for record in self.records)
+
+    @property
+    def loads(self) -> tuple[Rational, ...]:
+        return self.records[-1].loads
+
+    @property
+    def makespan(self) -> Rational:
+        return max(self.loads)
 
 
 class OnlinePolicy(Protocol):
@@ -144,7 +147,7 @@ def check_policy(policy: OnlinePolicy, m: int, k: int) -> None:
 
 def run_policy(
     instance: Instance, policy: OnlinePolicy, machine_count: int, lookahead: int
-) -> tuple[Schedule, DecisionTrace]:
+) -> DecisionTrace:
     """Drive a policy over an instance under the revelation contract.
 
     The policy only ever sees the loads and the k-lookahead window of the
@@ -154,28 +157,25 @@ def run_policy(
     check_policy(policy, machine_count, lookahead)
     times = instance.processing_times
     loads = [Fraction(0)] * machine_count
-    assignment: dict[int, int] = {}
     records = []
     for i, p in enumerate(times, 1):
         window = LookaheadWindow(p, times[i : i + lookahead])
         machine = policy.choose(tuple(loads), window)
         loads[machine - 1] += p
-        assignment[i] = machine
         records.append(DecisionRecord(window, machine, tuple(loads)))
-    schedule = Schedule(assignment, tuple(loads), max(loads))
-    return schedule, DecisionTrace(tuple(records))
+    return DecisionTrace(tuple(records))
 
 
-def ls_schedule(instance: Instance, machine_count: int) -> tuple[Schedule, DecisionTrace]:
+def ls_schedule(instance: Instance, machine_count: int) -> DecisionTrace:
     """List Scheduling on any m >= 2; ties go to the lowest machine index."""
     return run_policy(instance, _POLICIES[SchedulerId.LS], machine_count, 0)
 
 
-def two_la1_schedule(instance: Instance) -> tuple[Schedule, DecisionTrace]:
+def two_la1_schedule(instance: Instance) -> DecisionTrace:
     """The two-machine lookahead policy (m fixed at 2, k fixed at 1)."""
     return run_policy(instance, _POLICIES[SchedulerId.TWO_LA1], 2, 1)
 
 
-def three_la1_schedule(instance: Instance) -> tuple[Schedule, DecisionTrace]:
+def three_la1_schedule(instance: Instance) -> DecisionTrace:
     """The three-machine lookahead policy (m fixed at 3, k fixed at 1)."""
     return run_policy(instance, _POLICIES[SchedulerId.THREE_LA1], 3, 1)

@@ -113,19 +113,19 @@ def _write_csv(path: str | None, payload) -> None:
 def _cmd_simulate(args) -> int:
     instance, label = _load_instance(args)
     k = _default_k(args)
-    schedule, trace = run_policy(instance, policy_for(args.alg), args.m, k)
+    trace = run_policy(instance, policy_for(args.alg), args.m, k)
     opt = optimal_makespan_value(instance, args.m)
-    ratio = competitive_ratio(schedule.makespan, opt)
+    ratio = competitive_ratio(trace.makespan, opt)
     print(f"scheduler: {args.alg.value}")
     print(f"instance: {label} = {inline_label(instance.processing_times)}")
     print(f"m: {args.m}")
     print(f"k: {k}")
-    print(f"alg_makespan: {format_rational(schedule.makespan)}")
+    print(f"alg_makespan: {format_rational(trace.makespan)}")
     print(f"opt_makespan: {format_rational(opt)}")
     print(f"ratio: {_ratio_str(ratio)}")
     if args.trace:
         _print_trace(trace)
-    _write_csv(args.csv, [ExperimentRow(args.alg, label, args.m, k, schedule.makespan, opt, ratio)])
+    _write_csv(args.csv, [ExperimentRow(args.alg, label, args.m, k, trace.makespan, opt, ratio)])
     return 0
 
 
@@ -180,18 +180,16 @@ def _print_transcript(game: str, transcript: GameTranscript, trace: bool) -> Non
     print(f"case: {transcript.case}")
     print(f"degenerate: {str(transcript.degenerate).lower()}")
     print(f"instance: {inline_label(transcript.final_instance.processing_times)}")
-    print(f"decisions: {','.join(str(d) for d in transcript.decisions)}")
-    print(f"alg_makespan: {format_rational(transcript.alg_makespan)}")
+    print(f"decisions: {','.join(str(d) for d in transcript.trace.decisions)}")
+    print(f"alg_makespan: {format_rational(transcript.trace.makespan)}")
     print(f"opt_makespan: {format_rational(transcript.opt_makespan)}")
     print(f"ratio: {_ratio_str(transcript.ratio)}")
     if trace:
-        for step, (window, decision) in enumerate(
-            zip(transcript.revealed, transcript.decisions), 1
-        ):
-            future = ",".join(format_rational(p) for p in window.future)
+        for step, record in enumerate(transcript.trace.records, 1):
+            future = ",".join(format_rational(p) for p in record.window.future)
             print(
-                f"  step {step}: p={format_rational(window.current)}"
-                f" future=[{future}] -> M{decision}"
+                f"  step {step}: p={format_rational(record.window.current)}"
+                f" future=[{future}] -> M{record.machine}"
             )
 
 

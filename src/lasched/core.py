@@ -9,7 +9,7 @@ ever touch floating point; decimals appear only in display columns.
 from __future__ import annotations
 
 import re
-from collections.abc import Iterable, Mapping
+from collections.abc import Iterable
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -96,19 +96,6 @@ class LookaheadWindow:
     future: tuple[Rational, ...]
 
 
-@dataclass(frozen=True)
-class Schedule:
-    """A complete job-to-machine assignment with the loads it induces.
-
-    Treated as immutable after construction; the assignment mapping must not
-    be mutated by callers.
-    """
-
-    assignment: dict[int, int]
-    loads: tuple[Rational, ...]
-    makespan: Rational
-
-
 def _coerce_time(value, position: int) -> Rational:
     if isinstance(value, float):
         raise TypeError(
@@ -164,15 +151,3 @@ def check_machine_count(machine_count: int) -> None:
     """Every schedule, policy run and oracle call needs at least two machines."""
     if machine_count < 2:
         raise InvalidParam(f"machine count must be >= 2, got {machine_count}")
-
-
-def build_schedule(instance: Instance, assignment: Mapping[int, int], machine_count: int) -> Schedule:
-    """Build a Schedule whose loads and makespan are derived from the assignment."""
-    check_machine_count(machine_count)
-    loads = [Fraction(0)] * machine_count
-    for i, p in enumerate(instance.processing_times, 1):
-        machine = assignment.get(i)
-        if machine is None or not 1 <= machine <= machine_count:
-            raise InvalidParam(f"job {i} assigned to invalid machine {machine!r}")
-        loads[machine - 1] += p
-    return Schedule(dict(assignment), tuple(loads), max(loads))

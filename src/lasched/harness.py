@@ -17,13 +17,7 @@ from itertools import islice, product
 from collections.abc import Iterable, Iterator, Sequence
 
 from .adversaries import FamilyId, format_family_id, named_instance
-from .algorithms import (
-    SchedulerId,
-    SchedulerMachineMismatch,  # noqa: F401  (re-exported)
-    check_policy,
-    policy_for,
-    run_policy,
-)
+from .algorithms import SchedulerId, check_policy, policy_for, run_policy
 from .core import Instance, InvalidParam, Rational, make_instance
 from .oracle import CapacityExceeded, competitive_ratio, optimal_makespan_value
 
@@ -63,16 +57,16 @@ def run_one(
     scheduler: SchedulerId, instance: Instance, m: int, k: int, label: str | None = None
 ) -> ExperimentRow:
     """Run one scheduler on one instance and score it against the oracle."""
-    schedule, _ = run_policy(instance, policy_for(scheduler), m, k)
+    alg = run_policy(instance, policy_for(scheduler), m, k).makespan
     opt = optimal_makespan_value(instance, m)
     return ExperimentRow(
         scheduler=scheduler,
         instance_label=label if label is not None else inline_label(instance.processing_times),
         m=m,
         k=k,
-        alg_makespan=schedule.makespan,
+        alg_makespan=alg,
         opt_makespan=opt,
-        ratio=competitive_ratio(schedule.makespan, opt),
+        ratio=competitive_ratio(alg, opt),
     )
 
 
@@ -130,13 +124,13 @@ def _scan_chunk(
         times = instance.processing_times
         key = tuple(sorted(times))
         try:
-            schedule, _ = run_policy(instance, policy, m, k)
+            alg = run_policy(instance, policy, m, k).makespan
             opt = opts.get(key)
             if opt is None:
                 opt = opts[key] = optimal_makespan_value(make_instance(key), m)
         except CapacityExceeded as exc:
             raise CapacityExceeded(f"{exc} (instance {inline_label(times)})") from exc
-        ratio = competitive_ratio(schedule.makespan, opt)
+        ratio = competitive_ratio(alg, opt)
         if best_ratio is None or ratio > best_ratio or (ratio == best_ratio and times < best_values):
             best_ratio, best_values = ratio, times
         if ratio > bound:
@@ -235,15 +229,15 @@ def report_rows(report: VerificationReport) -> list[ExperimentRow]:
     policy = policy_for(report.scheduler)
     rows = []
     for instance, ratio in ((report.argmax_instance, report.max_ratio), *report.violations):
-        schedule, _ = run_policy(instance, policy, report.m, report.k)
+        alg = run_policy(instance, policy, report.m, report.k).makespan
         rows.append(
             ExperimentRow(
                 scheduler=report.scheduler,
                 instance_label=inline_label(instance.processing_times),
                 m=report.m,
                 k=report.k,
-                alg_makespan=schedule.makespan,
-                opt_makespan=schedule.makespan / ratio,
+                alg_makespan=alg,
+                opt_makespan=alg / ratio,
                 ratio=ratio,
             )
         )

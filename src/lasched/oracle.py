@@ -1,43 +1,40 @@
 """Exact optimal offline makespan, the classic lower bound, and ratios.
 
 The oracle scales all processing times to integers by the LCM of their
-denominators.  One search gives the value and witness of every m >= 2, with
-no scaled-total cap: it probes the lower bound max(p_max, ceil(T/m)), bisects
-up to the LPT makespan, and under each cap runs a depth-first search that
-tries machine 1 first, so the probe at the optimal cap returns the witness.
-The value paths are unchanged: a subset-sum bitset for m = 2 and, for every
-m >= 3, a layered reachable-load DP over load tuples, each kept sorted
-because the machines are identical.  Sending the m >= 3 value through the
-search waits for the benchmark fix of ROADMAP item 1.  A pure m^n brute
-force is the independent oracle both paths are tested against.
+denominators.  One search gives the value and witness of every m >= 2: it
+probes the lower bound max(p_max, ceil(T/m)), bisects up to the LPT
+makespan, and under each cap runs a depth-first search that tries machine 1
+first, so the probe at the optimal cap returns the witness.  The value paths
+are a subset-sum bitset for m = 2 and, for every m >= 3, a layered
+reachable-load DP over load tuples, each kept sorted because the machines
+are identical.  Sending the m >= 3 value through the search waits for the
+benchmark fix of ROADMAP item 1.  Every table is bounded by ``state_cap``.
+The tests check both paths against a pure m^n brute force.
 """
 
 from __future__ import annotations
 
 import heapq
 import math
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
+from itertools import accumulate
 
 from .core import Instance, Rational, SchedulingError, check_machine_count
 
-DEFAULT_SCALED_TOTAL_CAP = 20_000
 DEFAULT_STATE_CAP = 5_000_000
-EXHAUSTIVE_MAX_JOBS = 12
 
 
 class CapacityExceeded(SchedulingError):
-    """A DP table or the brute-force space would exceed its size bound.
+    """A DP table would exceed its size bound, ``state_cap``.
 
-    The m = 2 value bitset is bounded by the scaled total work and the brute
-    force by the job count.  For m >= 3 ``state_cap`` bounds the value path's
-    DP by the load tuples of all its layers together.  For every m >= 2 it
-    bounds the witness search by the dead-end load tuples it stores, summed
-    over every cap it probes; that search has no scaled-total cap.  Raised
-    instead of ever degrading accuracy; shrink the instance or raise the
-    caps.
+    The m = 2 value bitset counts its bits over all its layers, one bit per
+    M1 load from 0 to the work shifted in so far.  For m >= 3 the value
+    path's DP counts the load tuples of all its layers together.  For every
+    m >= 2 the witness search counts the dead-end load tuples it stores,
+    summed over every cap it probes.  Raised instead of ever degrading
+    accuracy; shrink the instance or raise the cap.
     """
 
 
@@ -58,17 +55,43 @@ def _scaled_ints(instance: Instance) -> tuple[list[int], int]:
     return [int(p * scale) for p in times], scale
 
 
-def _dp_two(ints: list[int], cap: int) -> int:
-    """Best makespan from the reachable M1 loads, kept as one bitset."""
-    total = sum(ints)
-    if total > cap:
+def _dp_two(ints: list[int], state_cap: int) -> int:
+    """Best makespan from the reachable M1 loads, kept as one bitset.
+
+    A run of c jobs of time a is shifted in as the parts a, 2a, 4a, ... and
+    a remainder, whose subset sums are exactly the multiples 0..c of a, so
+    the run costs O(log c) shifts.  Parts go smallest first.  After each
+    part the bitset has one bit per M1 load from 0 to the work so far;
+    ``state_cap`` bounds these bits over all layers together, so it bounds
+    the shift work, not only the final width.
+    """
+    ints = sorted(ints)
+    parts = []
+    i = 0
+    while i < len(ints):
+        a = ints[i]
+        j = bisect_right(ints, a, i)
+        c, k = j - i, 1
+        while k <= c:
+            parts.append(a * k)
+            c -= k
+            k *= 2
+        if c:
+            parts.append(a * c)
+        i = j
+    parts.sort()
+    if sum(accumulate(parts, initial=1)) > state_cap:
         raise CapacityExceeded(
-            f"scaled total {total} exceeds cap {cap}; use smaller values or raise the cap"
+            f"DP table grew past {state_cap} states; use smaller values or raise the cap"
         )
     reach = 1  # bit s set <=> load s on M1 is reachable
-    for a in ints:
+    for a in parts:
         reach |= reach << a
-    return min(max(s, total - s) for s in range(total + 1) if reach >> s & 1)
+    # the loads are symmetric (s reachable <=> total - s reachable), so the
+    # best split is the largest reachable M1 load not above total // 2
+    total = sum(parts)
+    half = reach & ((1 << (total // 2 + 1)) - 1)
+    return total - (half.bit_length() - 1)
 
 
 def _children(loads: tuple[int, ...], a: int) -> list[tuple[int, ...]]:
@@ -169,45 +192,13 @@ def _witness_search(ints: list[int], m: int, state_cap: int) -> tuple[int, list[
         cap = (low + high + 1) // 2
 
 
-def exhaustive_optimal_makespan(instance: Instance, machine_count: int) -> OptResult:
-    """Brute force over all m^n assignments, in lexicographic order.
-
-    Deliberately free of the DP's scaling and reachability machinery so it
-    can serve as an independent oracle.  Only strict improvements replace the
-    incumbent, so the returned witness is the lexicographically smallest
-    optimum.
-    """
-    check_machine_count(machine_count)
-    n = len(instance)
-    if n > EXHAUSTIVE_MAX_JOBS:
-        raise CapacityExceeded(
-            f"exhaustive search supports n <= {EXHAUSTIVE_MAX_JOBS}, got {n}"
-        )
-    times = instance.processing_times
-    best: Rational | None = None
-    best_combo: tuple[int, ...] | None = None
-    for combo in product(range(1, machine_count + 1), repeat=n):
-        loads = [Fraction(0)] * machine_count
-        for p, machine in zip(times, combo):
-            loads[machine - 1] += p
-        cost = max(loads)
-        if best is None or cost < best:
-            best, best_combo = cost, combo
-    assert best is not None and best_combo is not None
-    return OptResult(best, {i: m for i, m in enumerate(best_combo, 1)})
-
-
 def optimal_makespan_value(
-    instance: Instance,
-    machine_count: int,
-    *,
-    scaled_total_cap: int = DEFAULT_SCALED_TOTAL_CAP,
-    state_cap: int = DEFAULT_STATE_CAP,
+    instance: Instance, machine_count: int, *, state_cap: int = DEFAULT_STATE_CAP
 ) -> Rational:
     """Exact minimum makespan without witness reconstruction (fast path)."""
     ints, scale = _scaled_ints(instance)
     if machine_count == 2:
-        best = _dp_two(ints, scaled_total_cap)
+        best = _dp_two(ints, state_cap)
     else:
         best = _dp_sorted(ints, machine_count, state_cap)
     return Fraction(best, scale)
@@ -219,17 +210,17 @@ def optimal_makespan(
     """Exact minimum makespan over all assignments, plus one witness.
 
     One search serves every m >= 2, on the processing times scaled to
-    integers and divided by their gcd, with no scaled-total cap.  It probes
-    the lower bound max(p_max, ceil(T/m)) first, then bisects up to the LPT
-    makespan; each probe is a depth-first search over labelled loads that
-    tries machine 1 first and never lets a load exceed the cap.  Dead-end
-    load tuples over all probes are bounded by ``state_cap``.  The search
-    does not recurse per job, so instances of thousands of jobs are fine.
-    ``optimal_makespan_value`` keeps its own value paths unchanged; moving
-    its m >= 3 DP onto this search waits for ROADMAP item 1's benchmark fix.
+    integers and divided by their gcd.  It probes the lower bound
+    max(p_max, ceil(T/m)) first, then bisects up to the LPT makespan; each
+    probe is a depth-first search over labelled loads that tries machine 1
+    first and never lets a load exceed the cap.  Dead-end load tuples over
+    all probes are bounded by ``state_cap``.  The search does not recurse
+    per job, so instances of thousands of jobs are fine.
+    ``optimal_makespan_value`` keeps its own value paths; moving its m >= 3
+    DP onto this search waits for ROADMAP item 1's benchmark fix.
     The first assignment the probe at the optimal cap reaches is the
-    lexicographically smallest optimal one, the same witness
-    ``exhaustive_optimal_makespan`` returns.
+    lexicographically smallest optimal one, the same witness a brute force
+    over all m^n assignments in lexicographic order returns.
     """
     ints, scale = _scaled_ints(instance)
     best, machines = _witness_search(ints, machine_count, state_cap)

@@ -27,11 +27,11 @@ from fractions import Fraction as F
 
 import pytest
 
+from brute_force import exhaustive_optimal_makespan
 from lasched import (
     FamilyId,
     SchedulerId,
     enumerate_instances,
-    exhaustive_optimal_makespan,
     ls_schedule,
     make_instance,
     named_instance,
@@ -56,8 +56,8 @@ def _report(number: int, ok: bool, detail: str) -> None:
 
 def test_criterion_01_figure1_reproduction():
     instance = named_instance(FamilyId("fig1"))
-    ls, _ = ls_schedule(instance, 2)
-    la, _ = two_la1_schedule(instance)
+    ls = ls_schedule(instance, 2)
+    la = two_la1_schedule(instance)
     opt = optimal_makespan_value(instance, 2)
     ok = ls.makespan == 3 and la.makespan == 2 and opt == 2
     _report(1, ok, f"ls={ls.makespan} 2la1={la.makespan} opt={opt} on 1,1,2")
@@ -69,18 +69,18 @@ def test_criterion_02_theorem2_tightness():
     mismatches = []
     for n in range(4, 21):
         instance = named_instance(FamilyId("theorem2", n))
-        schedule, trace = two_la1_schedule(instance)
+        trace = two_la1_schedule(instance)
         opt = optimal_makespan_value(instance, 2)
-        ratio = schedule.makespan / opt
+        ratio = trace.makespan / opt
         expected = 4 * n - (n - 4) // 3
-        ok = opt == 3 * n and schedule.makespan == expected
+        ok = opt == 3 * n and trace.makespan == expected
         if n <= 6:
             ok = ok and ratio == F(4, 3)
         else:
             ok = ok and ratio < F(4, 3) and not admits_third_unit
             ok = ok and trace.decisions[:3] == (1, 1, 2)
         if not ok:
-            mismatches.append((n, schedule.makespan, expected, opt, ratio, trace.decisions[:3]))
+            mismatches.append((n, trace.makespan, expected, opt, ratio, trace.decisions[:3]))
     detail = (
         "opt == 3n and 2la1 makespan == 4n - floor((n-4)/3) for every n in 4..20: "
         "ratio 4/3 for n in 4..6, below 4/3 from n = 7 (job 3 overflows to M2)"
@@ -98,19 +98,19 @@ def test_criterion_02_theorem2_tightness():
 
 
 def test_criterion_03_equal_job_structure():
-    schedule, _ = two_la1_schedule(make_instance([1] * 6))
+    six = two_la1_schedule(make_instance([1] * 6))
     opt = optimal_makespan_value(make_instance([1] * 6), 2)
-    ok = schedule.makespan == 4 and opt == 3
+    ok = six.makespan == 4 and opt == 3
     counts_ok = True
     for n in range(1, 31):
-        _, trace = two_la1_schedule(make_instance([1] * n))
+        trace = two_la1_schedule(make_instance([1] * n))
         if trace.decisions.count(1) != (2 * n) // 3:
             counts_ok = False
             break
     _report(
         3,
         ok and counts_ok,
-        f"6 unit jobs: alg={schedule.makespan} opt={opt} (ratio 4/3); "
+        f"6 unit jobs: alg={six.makespan} opt={opt} (ratio 4/3); "
         f"floor(2n/3) jobs on M1 for all n <= 30: {counts_ok}",
     )
 
@@ -120,34 +120,34 @@ def test_criterion_04_ambush_family_and_three_la1():
         case: optimal_makespan_value(named_instance(FamilyId("thm4", case)), 3)
         for case in ("1", "2.1", "2.2", "2.3", "3a.1", "3a.2", "3a.3", "3b.1", "3b.2")
     }
-    schedule, _ = three_la1_schedule(make_instance([7, 4, 4, 7, 11]))
-    ratio = F(schedule.makespan, 11)
+    trace = three_la1_schedule(make_instance([7, 4, 4, 7, 11]))
+    ratio = F(trace.makespan, 11)
     ok = (
         all(opt == 11 for opt in opts.values())
-        and schedule.makespan == 15
+        and trace.makespan == 15
         and F(15, 11) <= ratio <= F(16, 11)
     )
-    _report(4, ok, f"all 9 case opts = 11; 3la1 on 7,4,4,7,11 -> {schedule.makespan} (ratio {ratio})")
+    _report(4, ok, f"all 9 case opts = 11; 3la1 on 7,4,4,7,11 -> {trace.makespan} (ratio {ratio})")
 
 
 def test_criterion_05_pmax_dominated_sequences():
     results = {}
     for times in ([16, 16, 1], [17, 14, 1, 1], [1, 1, 14, 17]):
         instance = make_instance(times)
-        schedule, _ = three_la1_schedule(instance)
+        trace = three_la1_schedule(instance)
         opt = optimal_makespan_value(instance, 3)
-        results[tuple(times)] = (schedule.makespan, opt, instance.max_time)
+        results[tuple(times)] = (trace.makespan, opt, instance.max_time)
     named_ok = all(alg == opt == pmax for alg, opt, pmax in results.values())
 
     units = make_instance([1] * 33)
-    schedule, _ = three_la1_schedule(units)
+    trace = three_la1_schedule(units)
     opt = optimal_makespan_value(units, 3)
-    units_ok = schedule.makespan <= 16 and opt == 11
+    units_ok = trace.makespan <= 16 and opt == 11
     _report(
         5,
         named_ok and units_ok,
         f"alg == opt == pmax on the three sequences: {named_ok}; "
-        f"33 unit jobs: alg={schedule.makespan} (<= 16), opt={opt}",
+        f"33 unit jobs: alg={trace.makespan} (<= 16), opt={opt}",
     )
 
 
@@ -240,7 +240,7 @@ def test_criterion_09_adversary_game_against_ls():
     )
     ok = (
         at_100.final_instance.processing_times[-1] == 49
-        and at_100.alg_makespan == 98
+        and at_100.trace.makespan == 98
         and at_100.opt_makespan == 74
         and at_100.ratio == F(49, 37)
         and floor_ok
@@ -281,14 +281,14 @@ def test_criterion_11_property_suite():
     conservation_ok = scaling_ok = revelation_ok = True
     for scheduler, m, k, times in probes:
         instance = make_instance(times)
-        schedule, trace = run_policy(instance, policy_for(scheduler), m, k)
-        conservation_ok &= sum(schedule.loads) == instance.total_time
-        conservation_ok &= schedule.makespan == max(schedule.loads)
+        trace = run_policy(instance, policy_for(scheduler), m, k)
+        conservation_ok &= sum(trace.loads) == instance.total_time
+        conservation_ok &= trace.makespan == max(trace.loads)
 
         scaled = make_instance([p * F(5, 3) for p in instance.processing_times])
-        s2, t2 = run_policy(scaled, policy_for(scheduler), m, k)
+        t2 = run_policy(scaled, policy_for(scheduler), m, k)
         scaling_ok &= t2.decisions == trace.decisions
-        scaling_ok &= s2.makespan == schedule.makespan * F(5, 3)
+        scaling_ok &= t2.makespan == trace.makespan * F(5, 3)
 
         for i in range(1, len(times)):
             if i + k >= len(times):
@@ -296,7 +296,7 @@ def test_criterion_11_property_suite():
             mutated = list(instance.processing_times)
             for j in range(i + k, len(times)):
                 mutated[j] += 9
-            _, t3 = run_policy(make_instance(mutated), policy_for(scheduler), m, k)
+            t3 = run_policy(make_instance(mutated), policy_for(scheduler), m, k)
             revelation_ok &= t3.decisions[:i] == trace.decisions[:i]
 
     single = verify_bound(SchedulerId.TWO_LA1, 2, 1, 5, VALUES_123, F(4, 3), jobs=1)

@@ -7,6 +7,7 @@ from lasched import (
     FamilyId,
     InvalidParam,
     SchedulerId,
+    SchedulerMachineMismatch,
     enumerate_instances,
     format_family_id,
     named_instance,
@@ -96,7 +97,7 @@ def test_play_theorem1_against_ls_at_100():
     transcript = play_theorem1(SchedulerId.LS, 100, 1, F(1))
     assert transcript.case == "2"
     assert transcript.final_instance.processing_times[-1] == 49
-    assert transcript.alg_makespan == 98
+    assert transcript.trace.makespan == 98
     assert transcript.opt_makespan == 74
     assert transcript.ratio == F(49, 37)
     assert not transcript.degenerate
@@ -115,8 +116,11 @@ def test_play_theorem1_rejects_too_short_games():
         play_theorem1(SchedulerId.LS, 10, 0, F(1))
     with pytest.raises(InvalidParam):
         play_theorem1(SchedulerId.LS, 10, 1, F(0))
-    with pytest.raises(InvalidParam):
+    # a policy bound to another machine count fails in run_policy's check
+    with pytest.raises(SchedulerMachineMismatch):
         play_theorem1(SchedulerId.THREE_LA1, 10, 1, F(1))
+    with pytest.raises(SchedulerMachineMismatch):
+        play_theorem4(SchedulerId.TWO_LA1)
 
 
 # ratios frozen from the closed-form prefix analysis: after 3j equal jobs the
@@ -140,7 +144,7 @@ def test_play_theorem4_against_spreading_policy():
     transcript = play_theorem4(SchedulerId.LS)
     assert transcript.case == "1"
     assert transcript.final_instance.processing_times == (F(7), F(4), F(4), F(7), F(11))
-    assert transcript.alg_makespan == 15
+    assert transcript.trace.makespan == 15
     assert transcript.opt_makespan == 11
     assert transcript.ratio == F(15, 11)
 
@@ -151,7 +155,7 @@ def test_play_theorem4_against_three_la1():
     transcript = play_theorem4(SchedulerId.THREE_LA1)
     assert transcript.case == "3b.1"
     assert transcript.final_instance.processing_times == (F(7), F(4), F(4), F(7), F(8))
-    assert transcript.alg_makespan == 15
+    assert transcript.trace.makespan == 15
     assert transcript.opt_makespan == 11
     assert transcript.ratio == F(15, 11)
 
@@ -159,7 +163,7 @@ def test_play_theorem4_against_three_la1():
 def test_play_theorem4_against_stacker():
     transcript = play_theorem4(Stacker())
     assert transcript.case == "1"
-    assert transcript.alg_makespan == 33
+    assert transcript.trace.makespan == 33
     assert transcript.ratio == 3
 
 
@@ -182,21 +186,23 @@ def test_transcript_soundness(play):
     transcript = play()
     instance = transcript.final_instance
     n = len(instance)
-    assert len(transcript.revealed) == n
-    assert len(transcript.decisions) == n
-    machines = max(transcript.decisions)
+    revealed = [record.window for record in transcript.trace.records]
+    decisions = transcript.trace.decisions
+    assert len(revealed) == n
+    assert len(decisions) == n
+    machines = max(decisions)
     loads = [F(0)] * max(machines, 2)
-    for p, machine in zip(instance.processing_times, transcript.decisions):
+    for p, machine in zip(instance.processing_times, decisions):
         loads[machine - 1] += p
-    assert max(loads) == transcript.alg_makespan
-    assert transcript.ratio == transcript.alg_makespan / transcript.opt_makespan
+    assert max(loads) == transcript.trace.makespan
+    assert transcript.ratio == transcript.trace.makespan / transcript.opt_makespan
     # revealed values must be the final instance's values: the adversary can
     # never rewrite something it already showed
     times = instance.processing_times
-    for i, window in enumerate(transcript.revealed, 1):
+    for i, window in enumerate(revealed, 1):
         assert window.current == times[i - 1]
         assert window.future == times[i : i + len(window.future)]
-    for i, window in enumerate(transcript.revealed[:-1], 1):
+    for i, window in enumerate(revealed[:-1], 1):
         assert window.future, f"window at step {i} hides the next value"
 
 

@@ -5,7 +5,6 @@ from hypothesis import given, settings, strategies as st
 
 from lasched import (
     SchedulerId,
-    build_schedule,
     ls_schedule,
     make_instance,
     policy_for,
@@ -28,13 +27,13 @@ SCHEDULERS = [
 
 
 def test_ls_examples():
-    schedule, _ = ls_schedule(make_instance([1, 1, 2]), 2)
-    assert schedule.makespan == 3
-    schedule, _ = ls_schedule(make_instance([5]), 2)
-    assert schedule.makespan == 5
-    schedule, _ = ls_schedule(make_instance([7, 4, 4, 7, 11]), 3)
-    assert schedule.loads == (F(7), F(11), F(15))
-    assert schedule.makespan == 15
+    trace = ls_schedule(make_instance([1, 1, 2]), 2)
+    assert trace.makespan == 3
+    trace = ls_schedule(make_instance([5]), 2)
+    assert trace.makespan == 5
+    trace = ls_schedule(make_instance([7, 4, 4, 7, 11]), 3)
+    assert trace.loads == (F(7), F(11), F(15))
+    assert trace.makespan == 15
 
 
 def test_two_la1_admit_examples():
@@ -48,19 +47,19 @@ def test_two_la1_admit_examples():
 
 
 def test_two_la1_schedule_examples():
-    schedule, _ = two_la1_schedule(make_instance([1, 1, 2]))
-    assert schedule.loads == (F(2), F(2))
-    assert schedule.makespan == 2
+    trace = two_la1_schedule(make_instance([1, 1, 2]))
+    assert trace.loads == (F(2), F(2))
+    assert trace.makespan == 2
 
-    schedule, trace = two_la1_schedule(make_instance([1, 1, 1, 6, 15, 12]))
+    trace = two_la1_schedule(make_instance([1, 1, 1, 6, 15, 12]))
     assert trace.decisions == (1, 1, 1, 1, 1, 2)
-    assert schedule.loads == (F(24), F(12))
-    assert schedule.makespan == 24
+    assert trace.loads == (F(24), F(12))
+    assert trace.makespan == 24
 
-    schedule, trace = two_la1_schedule(make_instance([1] * 6))
+    trace = two_la1_schedule(make_instance([1] * 6))
     assert trace.decisions.count(1) == 4
     assert trace.decisions.count(2) == 2
-    assert schedule.makespan == 4
+    assert trace.makespan == 4
 
 
 def test_three_la1_admit_examples():
@@ -71,43 +70,43 @@ def test_three_la1_admit_examples():
 
 
 def test_three_la1_schedule_examples():
-    schedule, trace = three_la1_schedule(make_instance([17, 14, 1, 1]))
+    trace = three_la1_schedule(make_instance([17, 14, 1, 1]))
     assert trace.decisions == (3, 1, 1, 2)
-    assert schedule.makespan == 17
+    assert trace.makespan == 17
 
-    schedule, _ = three_la1_schedule(make_instance([1, 1, 14, 17]))
-    assert schedule.makespan == 17
+    trace = three_la1_schedule(make_instance([1, 1, 14, 17]))
+    assert trace.makespan == 17
 
-    schedule, trace = three_la1_schedule(make_instance([7, 4, 4, 7, 11]))
+    trace = three_la1_schedule(make_instance([7, 4, 4, 7, 11]))
     assert trace.decisions == (3, 1, 1, 1, 2)
-    assert schedule.loads == (F(15), F(11), F(7))
-    assert schedule.makespan == 15
+    assert trace.loads == (F(15), F(11), F(7))
+    assert trace.makespan == 15
 
 
 def test_single_job_placements():
     # two-machine policy: the tie on the final job goes to M2, which keeps
     # the floor(2n/3) equal-job count exact down to n = 1
-    _, trace = two_la1_schedule(make_instance([5]))
+    trace = two_la1_schedule(make_instance([5]))
     assert trace.decisions == (2,)
-    _, trace = three_la1_schedule(make_instance([5]))
+    trace = three_la1_schedule(make_instance([5]))
     assert trace.decisions == (1,)
-    _, trace = ls_schedule(make_instance([5]), 2)
+    trace = ls_schedule(make_instance([5]), 2)
     assert trace.decisions == (1,)
 
 
 @pytest.mark.parametrize("n", range(1, 31))
 @pytest.mark.parametrize("x", [F(1), F(7, 2)])
 def test_equal_job_structure(n, x):
-    _, trace = two_la1_schedule(make_instance([x] * n))
+    trace = two_la1_schedule(make_instance([x] * n))
     assert trace.decisions.count(1) == (2 * n) // 3
 
 
 @pytest.mark.parametrize("scheduler,m,k", SCHEDULERS)
 @given(instance=instances)
 def test_conservation_and_makespan(scheduler, m, k, instance):
-    schedule, trace = run_policy(instance, policy_for(scheduler), m, k)
-    assert sum(schedule.loads) == instance.total_time
-    assert schedule.makespan == max(schedule.loads)
+    trace = run_policy(instance, policy_for(scheduler), m, k)
+    assert sum(trace.loads) == instance.total_time
+    assert trace.makespan == max(trace.loads)
     assert len(trace.records) == len(instance)
     # loads in each record extend the previous record by exactly one job
     previous = tuple(F(0) for _ in range(m))
@@ -116,8 +115,12 @@ def test_conservation_and_makespan(scheduler, m, k, instance):
         expected[record.machine - 1] += p
         assert record.loads == tuple(expected)
         previous = record.loads
-    rebuilt = build_schedule(instance, schedule.assignment, m)
-    assert rebuilt.loads == schedule.loads
+    # the final loads follow from the assignment alone
+    assert set(trace.decisions) <= set(range(1, m + 1))
+    rebuilt = [F(0)] * m
+    for p, machine in zip(instance.processing_times, trace.decisions):
+        rebuilt[machine - 1] += p
+    assert tuple(rebuilt) == trace.loads
 
 
 @pytest.mark.parametrize("scheduler,m,k", SCHEDULERS)
@@ -132,10 +135,10 @@ def test_determinism(scheduler, m, k, instance):
 @given(instance=instances, scale=st.fractions(min_value=F(1, 4), max_value=5, max_denominator=4))
 def test_scaling_invariance(scheduler, m, k, instance, scale):
     scaled = make_instance([p * scale for p in instance.processing_times])
-    base_schedule, base_trace = run_policy(instance, policy_for(scheduler), m, k)
-    scaled_schedule, scaled_trace = run_policy(scaled, policy_for(scheduler), m, k)
+    base_trace = run_policy(instance, policy_for(scheduler), m, k)
+    scaled_trace = run_policy(scaled, policy_for(scheduler), m, k)
     assert base_trace.decisions == scaled_trace.decisions
-    assert scaled_schedule.makespan == base_schedule.makespan * scale
+    assert scaled_trace.makespan == base_trace.makespan * scale
 
 
 @pytest.mark.parametrize("scheduler,m,k", SCHEDULERS)
@@ -146,24 +149,24 @@ def test_revelation_compliance(scheduler, m, k, instance):
     # decision already made
     times = instance.processing_times
     n = len(times)
-    _, trace = run_policy(instance, policy_for(scheduler), m, k)
+    trace = run_policy(instance, policy_for(scheduler), m, k)
     for i in range(1, n + 1):
         if i + k >= n:
             break
         mutated = list(times)
         for j in range(i + k, n):
             mutated[j] = times[j] + 1
-        _, mutated_trace = run_policy(make_instance(mutated), policy_for(scheduler), m, k)
+        mutated_trace = run_policy(make_instance(mutated), policy_for(scheduler), m, k)
         assert mutated_trace.decisions[:i] == trace.decisions[:i]
 
 
 def test_run_policy_window_examples():
     instance = make_instance([1, 1, 2])
-    _, trace = run_policy(instance, policy_for(SchedulerId.LS), 2, 1)
+    trace = run_policy(instance, policy_for(SchedulerId.LS), 2, 1)
     first, _, last = (record.window for record in trace.records)
     assert (first.current, first.future) == (F(1), (F(1),))
     assert (last.current, last.future) == (F(2), ())
-    _, trace = run_policy(instance, policy_for(SchedulerId.LS), 2, 5)
+    trace = run_policy(instance, policy_for(SchedulerId.LS), 2, 5)
     first = trace.records[0].window
     assert (first.current, first.future) == (F(1), (F(1), F(2)))
 
@@ -174,7 +177,7 @@ def test_run_policy_window_length(instance, k):
     # recognise it without a separate end-of-input signal
     times = instance.processing_times
     n = len(times)
-    _, trace = run_policy(instance, policy_for(SchedulerId.LS), 2, k)
+    trace = run_policy(instance, policy_for(SchedulerId.LS), 2, k)
     for i, record in enumerate(trace.records, 1):
         assert record.window.current == times[i - 1]
         assert len(record.window.future) == min(k, n - i)

@@ -4,13 +4,13 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from brute_force import exhaustive_optimal_makespan
 from lasched import (
     CapacityExceeded,
     SchedulerId,
     ZeroOpt,
     competitive_ratio,
     enumerate_instances,
-    exhaustive_optimal_makespan,
     make_instance,
     opt_lower_bound,
     optimal_makespan,
@@ -33,6 +33,8 @@ small_instances = st.lists(positive_fractions, min_size=1, max_size=7).map(make_
         # the sorted-tuple DP has no scaled-total or job-count cap
         ([30000], 3, F(30000)),
         ([1] * 13, 5, F(3)),
+        # lemma6:x=700: a run of c equal times costs the m = 2 bitset O(log c) shifts
+        ([1] * 23100, 2, F(11550)),
     ],
 )
 def test_optimal_makespan_examples(times, m, expected):
@@ -58,12 +60,18 @@ def test_optimal_makespan_m4():
 
 
 def test_capacity_exceeded():
-    with pytest.raises(CapacityExceeded):
-        optimal_makespan_value(make_instance([30000]), 2)
-    # the witness search has no scaled-total cap
+    # no path has a scaled-total cap
+    assert optimal_makespan_value(make_instance([30000]), 2) == 30000
     assert optimal_makespan(make_instance([30000]), 2).makespan == 30000
-    with pytest.raises(CapacityExceeded):
-        optimal_makespan_value(make_instance([1] * 10), 2, scaled_total_cap=5)
+    # the m = 2 bitset shifts ten unit jobs in as the parts 1, 2, 3, 4:
+    # layers of 1, 2, 4, 7 and 11 bits, 25 in all
+    with pytest.raises(CapacityExceeded, match="past 24 states"):
+        optimal_makespan_value(make_instance([1] * 10), 2, state_cap=24)
+    assert optimal_makespan_value(make_instance([1] * 10), 2, state_cap=25) == 5
+    # 3000 distinct times: the last layer fits in the cap, all layers do not,
+    # so the bitset raises before it shifts anything
+    with pytest.raises(CapacityExceeded, match="past 5000000 states"):
+        optimal_makespan_value(make_instance(range(1, 3001)), 2)
     with pytest.raises(CapacityExceeded):
         exhaustive_optimal_makespan(make_instance([1] * 13), 5)
     # the witness search stores 5 dead-end load tuples on this instance
@@ -179,6 +187,6 @@ def test_sandwich(instance):
         (SchedulerId.TWO_LA1, 2, 1),
         (SchedulerId.THREE_LA1, 3, 1),
     ]:
-        schedule, _ = run_policy(instance, policy_for(scheduler), m, k)
+        trace = run_policy(instance, policy_for(scheduler), m, k)
         opt = optimal_makespan_value(instance, m)
-        assert opt_lower_bound(instance, m) <= opt <= schedule.makespan
+        assert opt_lower_bound(instance, m) <= opt <= trace.makespan
