@@ -4,8 +4,14 @@ The oracle scales all processing times to integers by the LCM of their
 denominators.  One search gives the value and witness of every m >= 2: it
 probes the lower bound max(p_max, ceil(T/m)), bisects up to the LPT
 makespan, and under each cap runs a depth-first search that tries machine 1
-first, so the probe at the optimal cap returns the witness.  The value paths
-are a subset-sum bitset for m = 2 and, for every m >= 3, a layered
+first, so the probe at the optimal cap returns the witness.  The search cuts
+a child whose loads break the cap, whose sorted loads are a known dead end,
+or whose wasted room exceeds the slack m*cap - T: the wasted-space bound of
+bin-packing branch and bound (Martello and Toth, Knapsack Problems, 1990,
+ch. 8), where room below the smallest job still to come is wasted.  Waste
+is at most m*(p - 1) for that smallest job p, so the check runs only at
+depths where that exceeds the slack, and unit jobs skip it.  The value
+paths are a subset-sum bitset for m = 2 and, for every m >= 3, a layered
 reachable-load DP over load tuples, each kept sorted because the machines
 are identical.  Sending the m >= 3 value through the search waits for the
 benchmark fix of ROADMAP item 1.  Every table is bounded by ``state_cap``.
@@ -33,7 +39,8 @@ class CapacityExceeded(SchedulingError):
     M1 load from 0 to the work shifted in so far.  For m >= 3 the value
     path's DP counts the load tuples of all its layers together.  For every
     m >= 2 the witness search counts the dead-end load tuples it stores,
-    summed over every cap it probes.  Raised instead of ever degrading
+    summed over every cap it probes; children cut by the cap or by the
+    wasted-room bound are never stored.  Raised instead of ever degrading
     accuracy; shrink the instance or raise the cap.
     """
 
@@ -136,6 +143,10 @@ def _witness_search(ints: list[int], m: int, state_cap: int) -> tuple[int, list[
     unit = math.gcd(*ints)
     ints = [a // unit for a in ints]
     n = len(ints)
+    total = sum(ints)
+    # after[i]: the smallest job after job i (0 after the last); nondecreasing
+    # on 0..n-2, so the depths where the wasted-room bound can fire form a tail
+    after = list(accumulate(reversed(ints), min))[-2::-1] + [0]
     stored = 0
 
     def probe(cap: int) -> list[int] | None:
@@ -145,18 +156,29 @@ def _witness_search(ints: list[int], m: int, state_cap: int) -> tuple[int, list[
         first, so the job count is not bounded by the recursion limit.  Whether
         jobs i.. still fit depends only on the sorted loads, whose sum fixes i
         because jobs are positive, so every sorted tuple whose subtree failed
-        goes into one dead-end set.
+        goes into one dead-end set.  A child whose wasted room exceeds the
+        slack is cut like one that breaks the cap: the later jobs cannot fit.
         """
         nonlocal stored
         dead: set[tuple[int, ...]] = set()
+        slack = m * cap - total
+        # from depth first on, m*(after[i] - 1) > slack, so waste can exceed the
+        # slack (at the last depth after[i] is 0 and nothing is wasted)
+        first = bisect_right(after, slack // m + 1, 0, n - 1)
         loads = [0] * m
         machines: list[int] = []
         j = 0  # the next machine to try for job len(machines)
         while len(machines) < n:
-            a = ints[len(machines)]
+            i = len(machines)
+            a = ints[i]
+            full = cap - after[i]  # a load above this wastes its room
             while j < m:
                 loads[j] += a
-                if loads[j] <= cap and tuple(sorted(loads)) not in dead:
+                if (
+                    loads[j] <= cap
+                    and (i < first or sum([cap - load for load in loads if load > full]) <= slack)
+                    and tuple(sorted(loads)) not in dead
+                ):
                     break
                 loads[j] -= a
                 j += 1
@@ -213,9 +235,13 @@ def optimal_makespan(
     integers and divided by their gcd.  It probes the lower bound
     max(p_max, ceil(T/m)) first, then bisects up to the LPT makespan; each
     probe is a depth-first search over labelled loads that tries machine 1
-    first and never lets a load exceed the cap.  Dead-end load tuples over
-    all probes are bounded by ``state_cap``.  The search does not recurse
-    per job, so instances of thousands of jobs are fine.
+    first and never lets a load exceed the cap.  It also cuts a child once
+    the room wasted on machines too full for the smallest job still to come
+    exceeds the slack m*cap - T; that check is skipped at depths where the
+    waste, at most m*(p - 1) for that job p, cannot exceed the slack.  Both
+    cuts drop only subtrees with no feasible completion.  Dead-end load
+    tuples over all probes are bounded by ``state_cap``.  The search does
+    not recurse per job, so instances of thousands of jobs are fine.
     ``optimal_makespan_value`` keeps its own value paths; moving its m >= 3
     DP onto this search waits for ROADMAP item 1's benchmark fix.
     The first assignment the probe at the optimal cap reaches is the

@@ -207,14 +207,16 @@ def test_version(capsys):
 
 
 # The README cookbook (less its --jobs 4 run, which the jobs-invariance test
-# above covers) and the error paths.  Each case's directory under
-# cli_golden/ holds its expected stdout, stderr and exit code, plus every
-# file the command writes; commands run in a scratch directory that holds
-# only a copy of cli_golden/jobs.txt.
+# above covers), the error paths and an oracle call whose lower bound is
+# infeasible, so its witness comes from a bisected cap.  Each case's
+# directory under cli_golden/ holds its expected stdout, stderr and exit
+# code, plus every file the command writes; commands run in a scratch
+# directory that holds only copies of the FIXTURES below.
 GOLDEN_COMMANDS = {
     "simulate_trace": "simulate --alg 2la1 --m 2 --k 1 --family theorem2:n=6 --trace",
     "simulate_file": "simulate --alg ls --m 2 --instance jobs.txt",
     "oracle_thm4": "oracle --m 3 --family thm4:case=1",
+    "oracle_lb_infeasible": "oracle --m 3 --instance lb_infeasible.txt",
     "verify_2la1_n7": "verify --alg 2la1 --m 2 --k 1 --nmax 7 --values 1,2,3 --bound 4/3",
     "verify_2la1_n5": "verify --alg 2la1 --m 2 --k 1 --nmax 5 --values 1,2,3,4,5,6 --bound 4/3",
     "verify_3la1_n6": "verify --alg 3la1 --m 3 --k 1 --nmax 6 --values 1,2,3 --bound 16/11",
@@ -243,14 +245,21 @@ GOLDEN_COMMANDS = {
 }
 
 
+# the input files every golden command finds in its scratch directory
+FIXTURES = ("jobs.txt", "lb_infeasible.txt")
+
+
 @pytest.mark.parametrize("case", GOLDEN_COMMANDS)
 def test_cli_bytes_match_golden(capsys, tmp_path, monkeypatch, case):
-    (tmp_path / "jobs.txt").write_bytes((GOLDEN / "jobs.txt").read_bytes())
+    for name in FIXTURES:
+        (tmp_path / name).write_bytes((GOLDEN / name).read_bytes())
     monkeypatch.chdir(tmp_path)
     code, out, err = run(capsys, *shlex.split(GOLDEN_COMMANDS[case]))
     expected = {path.name: path.read_bytes() for path in (GOLDEN / case).iterdir()}
     assert code == int(expected.pop("exit"))
     assert out.encode() == expected.pop("stdout")
     assert err.encode() == expected.pop("stderr")
-    written = {path.name: path.read_bytes() for path in tmp_path.iterdir() if path.name != "jobs.txt"}
+    written = {
+        path.name: path.read_bytes() for path in tmp_path.iterdir() if path.name not in FIXTURES
+    }
     assert written == expected

@@ -74,11 +74,13 @@ def test_capacity_exceeded():
         optimal_makespan_value(make_instance(range(1, 3001)), 2)
     with pytest.raises(CapacityExceeded):
         exhaustive_optimal_makespan(make_instance([1] * 13), 5)
-    # the witness search stores 5 dead-end load tuples on this instance
-    instance = make_instance([1, 2, 3, 4, 5])
-    with pytest.raises(CapacityExceeded, match="past 4 states"):
-        optimal_makespan(instance, 3, state_cap=4)
-    assert optimal_makespan(instance, 3, state_cap=5).makespan == 5
+    # the witness search stores 555 dead-end load tuples on oracle-mix's
+    # heaviest call, whose lower bound 75 is infeasible at m = 3; children the
+    # wasted-room bound cuts are never stored
+    instance = make_instance([1, 19, 33, 3, 27, 1, 31, 29, 19, 28, 34])
+    with pytest.raises(CapacityExceeded, match="past 554 states"):
+        optimal_makespan(instance, 3, state_cap=554)
+    assert optimal_makespan(instance, 3, state_cap=555).makespan == 77
 
 
 def test_witness_search_does_not_recurse_per_job():
@@ -161,6 +163,28 @@ def test_dp_matches_exhaustive_small_space():
 @given(instance=small_instances, m=st.sampled_from([2, 3, 4]))
 def test_dp_matches_exhaustive_random(instance, m):
     assert optimal_makespan_value(instance, m) == exhaustive_optimal_makespan(instance, m).makespan
+
+
+# integer times, about half of them padded so the total divides by m: at the
+# lower bound their slack is 0, so the wasted-room bound cuts children
+@st.composite
+def integer_instances(draw, m):
+    times = draw(st.lists(st.integers(min_value=1, max_value=9), min_size=1, max_size=7))
+    if len(times) < 7 and sum(times) % m and draw(st.booleans()):
+        times.append(m - sum(times) % m)
+    return make_instance(times)
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data(), m=st.sampled_from([2, 3, 4]))
+def test_witness_matches_exhaustive(data, m):
+    # witness included: both return the lexicographically smallest optimum.
+    # Seven jobs leave a few hundred sorted load tuples per probe, so a bound
+    # that wrongly cuts every assignment, and makes the bisection probe the
+    # LPT cap forever, raises here instead of hanging.
+    instance = data.draw(integer_instances(m))
+    result = optimal_makespan(instance, m, state_cap=10_000)
+    assert result == exhaustive_optimal_makespan(instance, m)
 
 
 @given(instance=small_instances, m=st.sampled_from([2, 3, 4]))
