@@ -82,9 +82,12 @@ def _load_instance(args) -> tuple[Instance, str]:
         family = parse_family_id(args.family)
         return named_instance(family), format_family_id(family)
     if args.instance is not None:
-        with open(args.instance, encoding="utf-8") as handle:
-            instance = parse_instance_text(handle.read())
-        return instance, args.instance
+        try:
+            with open(args.instance, encoding="utf-8") as handle:
+                text = handle.read()
+        except UnicodeDecodeError as exc:
+            raise _UsageError(f"{args.instance}: {exc}") from None
+        return parse_instance_text(text), args.instance
     raise _UsageError("one of --instance or --family is required")
 
 

@@ -2,9 +2,9 @@
 
 The oracle scales all processing times to integers by the LCM of their
 denominators.  One search gives the value and witness of every m >= 2: it
-probes the lower bound max(p_max, ceil(T/m)), bisects up to the LPT
-makespan, and under each cap runs a depth-first search that tries machine 1
-first, so the probe at the optimal cap returns the witness.  The search cuts
+probes the lower bound max(p_max, ceil(T/m)); only if that fails it computes
+the LPT makespan and bisects up to it.  Under each cap a depth-first search
+tries machine 1 first; the last probe gives the witness.  The search cuts
 a child whose loads break the cap, whose sorted loads are a known dead end,
 or whose wasted room exceeds the slack m*cap - T: the wasted-space bound of
 bin-packing branch and bound (Martello and Toth, Knapsack Problems, 1990,
@@ -56,10 +56,10 @@ class OptResult:
 
 
 def _scaled_ints(instance: Instance) -> tuple[list[int], int]:
-    """Scale processing times to integers; returns (ints, scale)."""
+    """Scale times to integers by their denominators' lcm, integer-only; returns (ints, scale)."""
     times = instance.processing_times
-    scale = math.lcm(*(p.denominator for p in times))
-    return [int(p * scale) for p in times], scale
+    scale = math.lcm(*[p.denominator for p in times])
+    return [p.numerator * (scale // p.denominator) for p in times], scale
 
 
 def _dp_two(ints: list[int], state_cap: int) -> int:
@@ -141,7 +141,8 @@ def _witness_search(ints: list[int], m: int, state_cap: int) -> tuple[int, list[
     """Smallest feasible cap between the lower bound and LPT, and its smallest witness."""
     check_machine_count(m)
     unit = math.gcd(*ints)
-    ints = [a // unit for a in ints]
+    if unit > 1:
+        ints = [a // unit for a in ints]
     n = len(ints)
     total = sum(ints)
     # after[i]: the smallest job after job i (0 after the last); nondecreasing
@@ -177,7 +178,7 @@ def _witness_search(ints: list[int], m: int, state_cap: int) -> tuple[int, list[
                 if (
                     loads[j] <= cap
                     and (i < first or sum([cap - load for load in loads if load > full]) <= slack)
-                    and tuple(sorted(loads)) not in dead
+                    and not (dead and tuple(sorted(loads)) in dead)
                 ):
                     break
                 loads[j] -= a
@@ -199,11 +200,15 @@ def _witness_search(ints: list[int], m: int, state_cap: int) -> tuple[int, list[
             j += 1
         return [j + 1 for j in machines]
 
-    # probe the lower bound first; if it fails, bisect up to LPT, with every
-    # cap <= low infeasible and high feasible
-    cap = max(max(ints), -(-sum(ints) // m))
-    low, high = cap - 1, _lpt_makespan(ints, m)
+    # probe the lower bound first; only if it fails, bisect up to LPT, with
+    # every cap <= low infeasible and high feasible
+    low = max(max(ints), -(-total // m))
+    machines = probe(low)
+    if machines is not None:
+        return low * unit, machines
+    high = _lpt_makespan(ints, m)
     while True:
+        cap = (low + high + 1) // 2
         machines = probe(cap)
         if machines is None:
             low = cap
@@ -211,7 +216,6 @@ def _witness_search(ints: list[int], m: int, state_cap: int) -> tuple[int, list[
             return cap * unit, machines
         else:
             high = cap
-        cap = (low + high + 1) // 2
 
 
 def optimal_makespan_value(
@@ -233,20 +237,21 @@ def optimal_makespan(
 
     One search serves every m >= 2, on the processing times scaled to
     integers and divided by their gcd.  It probes the lower bound
-    max(p_max, ceil(T/m)) first, then bisects up to the LPT makespan; each
-    probe is a depth-first search over labelled loads that tries machine 1
-    first and never lets a load exceed the cap.  It also cuts a child once
-    the room wasted on machines too full for the smallest job still to come
-    exceeds the slack m*cap - T; that check is skipped at depths where the
-    waste, at most m*(p - 1) for that job p, cannot exceed the slack.  Both
-    cuts drop only subtrees with no feasible completion.  Dead-end load
-    tuples over all probes are bounded by ``state_cap``.  The search does
-    not recurse per job, so instances of thousands of jobs are fine.
-    ``optimal_makespan_value`` keeps its own value paths; moving its m >= 3
-    DP onto this search waits for ROADMAP item 1's benchmark fix.
-    The first assignment the probe at the optimal cap reaches is the
-    lexicographically smallest optimal one, the same witness a brute force
-    over all m^n assignments in lexicographic order returns.
+    max(p_max, ceil(T/m)) first; only if that fails does it compute the LPT
+    makespan and bisect up to it.  Each probe is a depth-first search over
+    labelled loads that tries machine 1 first and never lets a load exceed
+    the cap.  It also cuts a child once the room wasted on machines too full
+    for the smallest job still to come exceeds the slack m*cap - T; that
+    check is skipped at depths where the waste, at most m*(p - 1) for that
+    job p, cannot exceed the slack.  Both cuts drop only subtrees with no
+    feasible completion.  Dead-end load tuples over all probes are bounded
+    by ``state_cap``.  The search does not recurse per job, so instances of
+    thousands of jobs are fine.  ``optimal_makespan_value`` keeps its own
+    value paths; moving its m >= 3 DP onto this search waits for ROADMAP
+    item 1's benchmark fix.  The first assignment the probe at the optimal
+    cap reaches is the lexicographically smallest optimal one, the same
+    witness a brute force over all m^n assignments in lexicographic order
+    returns.
     """
     ints, scale = _scaled_ints(instance)
     best, machines = _witness_search(ints, machine_count, state_cap)

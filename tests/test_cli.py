@@ -207,16 +207,18 @@ def test_version(capsys):
 
 
 # The README cookbook (less its --jobs 4 run, which the jobs-invariance test
-# above covers), the error paths and an oracle call whose lower bound is
-# infeasible, so its witness comes from a bisected cap.  Each case's
-# directory under cli_golden/ holds its expected stdout, stderr and exit
-# code, plus every file the command writes; commands run in a scratch
-# directory that holds only copies of the FIXTURES below.
+# above covers), the error paths and two oracle calls whose lower bound is
+# infeasible, so their witness comes from a bisected cap: one at m = 3 and
+# one at m = 2 (25 jobs from 700..780, a shape no benchmark workload runs).
+# Each case's directory under cli_golden/ holds its expected stdout, stderr
+# and exit code, plus every file the command writes; commands run in a
+# scratch directory that holds only copies of the FIXTURES below.
 GOLDEN_COMMANDS = {
     "simulate_trace": "simulate --alg 2la1 --m 2 --k 1 --family theorem2:n=6 --trace",
     "simulate_file": "simulate --alg ls --m 2 --instance jobs.txt",
     "oracle_thm4": "oracle --m 3 --family thm4:case=1",
     "oracle_lb_infeasible": "oracle --m 3 --instance lb_infeasible.txt",
+    "oracle_m2_tight": "oracle --m 2 --instance m2_tight.txt",
     "verify_2la1_n7": "verify --alg 2la1 --m 2 --k 1 --nmax 7 --values 1,2,3 --bound 4/3",
     "verify_2la1_n5": "verify --alg 2la1 --m 2 --k 1 --nmax 5 --values 1,2,3,4,5,6 --bound 4/3",
     "verify_3la1_n6": "verify --alg 3la1 --m 3 --k 1 --nmax 6 --values 1,2,3 --bound 16/11",
@@ -242,11 +244,12 @@ GOLDEN_COMMANDS = {
     "error_values_token": "verify --alg ls --m 2 --nmax 2 --values 1,x --bound 3/2",
     "error_values_duplicate": "verify --alg ls --m 2 --nmax 2 --values 1,1 --bound 3/2",
     "error_bound_below_one": "verify --alg ls --m 2 --nmax 2 --values 1,2 --bound 0",
+    "error_instance_not_utf8": "oracle --m 2 --instance not_utf8.txt",
 }
 
 
 # the input files every golden command finds in its scratch directory
-FIXTURES = ("jobs.txt", "lb_infeasible.txt")
+FIXTURES = ("jobs.txt", "lb_infeasible.txt", "m2_tight.txt", "not_utf8.txt")
 
 
 @pytest.mark.parametrize("case", GOLDEN_COMMANDS)

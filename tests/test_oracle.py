@@ -1,9 +1,12 @@
+import math
 import random
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import lasched.oracle as oracle
 from brute_force import exhaustive_optimal_makespan
 from lasched import (
     CapacityExceeded,
@@ -15,9 +18,12 @@ from lasched import (
     opt_lower_bound,
     optimal_makespan,
     optimal_makespan_value,
+    parse_instance_text,
     policy_for,
     run_policy,
 )
+
+GOLDEN = Path(__file__).parent / "cli_golden"
 
 positive_fractions = st.fractions(min_value=F(1, 6), max_value=6, max_denominator=6)
 small_instances = st.lists(positive_fractions, min_size=1, max_size=7).map(make_instance)
@@ -94,6 +100,39 @@ def test_witness_search_does_not_recurse_per_job():
     assert result.makespan == 7007
     machines = list(result.witness_assignment.values())
     assert [machines.count(machine) for machine in (1, 2, 3)] == [1001, 1001, 999]
+
+
+# small denominators mixed with the Mersenne prime 2^61 - 1, so the lcm can
+# be far larger than any numerator
+mixed_fractions = st.builds(
+    F, st.integers(min_value=1, max_value=10**6), st.sampled_from([1, 2, 3, 4, 6, 7, 10, 2**61 - 1])
+)
+
+
+@given(times=st.lists(mixed_fractions, min_size=1, max_size=8))
+def test_scaled_ints_are_exact(times):
+    instance = make_instance(times)
+    ints, scale = oracle._scaled_ints(instance)
+    assert scale == math.lcm(*(p.denominator for p in instance.processing_times))
+    assert ints == [int(p * scale) for p in instance.processing_times]
+    assert [F(a, scale) for a in ints] == list(instance.processing_times)
+
+
+def test_lpt_runs_only_after_the_lower_bound_fails(monkeypatch):
+    lpt = oracle._lpt_makespan
+
+    def refuse(ints, m):
+        raise AssertionError("LPT computed although the lower bound is feasible")
+
+    monkeypatch.setattr(oracle, "_lpt_makespan", refuse)
+    for times, m, opt in [([1, 1, 2], 2, 2), ([7, 4, 4, 7, 11], 3, 11), ([1] * 1200, 3, 400)]:
+        assert optimal_makespan(make_instance(times), m).makespan == opt
+    # the lower bound 75 of oracle-mix's heaviest call is infeasible
+    calls = []
+    monkeypatch.setattr(oracle, "_lpt_makespan", lambda ints, m: calls.append(m) or lpt(ints, m))
+    instance = parse_instance_text((GOLDEN / "lb_infeasible.txt").read_text())
+    assert optimal_makespan(instance, 3).makespan == 77
+    assert calls == [3]
 
 
 # each lower bound max(p_max, ceil(T/m)) is infeasible at m = 3 or m = 2,
