@@ -24,9 +24,7 @@ from .algorithms import (
     ls_schedule,
     policy_for,
     run_policy,
-    three_la1_admit,
     three_la1_schedule,
-    two_la1_admit,
     two_la1_schedule,
 )
 from .core import (

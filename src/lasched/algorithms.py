@@ -1,10 +1,11 @@
 """The three online scheduling policies behind one deterministic interface.
 
 Each policy is a pure function of the current machine loads and the
-lookahead window of the arriving job.  A window with an empty future marks
-the final job, which all policies send to a least-loaded machine; every
-admission inequality is evaluated by integer cross-multiplication so that
-the equality cases admit exactly.
+lookahead window of the arriving job, stored as one row of data for a
+single budget-cascade rule.  A window with an empty future marks the final
+job, which all policies send to a least-loaded machine; every admission
+inequality is evaluated by integer cross-multiplication so that the
+equality cases admit exactly.
 """
 
 from __future__ import annotations
@@ -65,69 +66,54 @@ class OnlinePolicy(Protocol):
     def choose(self, loads: tuple[Rational, ...], window: LookaheadWindow) -> int: ...
 
 
-def two_la1_admit(l1: Rational, l2: Rational, p_i: Rational, p_next: Rational) -> bool:
-    """Admit the arriving job to the first machine if its new load stays
-    within two thirds of all work known so far (ties admit)."""
-    return 3 * (l1 + p_i) <= 2 * (l1 + l2 + p_i + p_next)
+@dataclass(eq=False)
+class BudgetCascade:
+    """An online policy as data: a cascade of load budgets over least-loaded.
 
+    A job with a visible next job goes to machine j of the first budget row
+    (j, a, b) with b*(l_j + p_i) <= a*(l_1 + ... + l_m + p_i + p_{i+1}),
+    i.e. whose new load stays within a/b of all work known so far (ties
+    admit); if no row admits it, it goes to the last machine.  Every other
+    job goes to a least-loaded machine, ties to the lowest index, or to the
+    highest if ``ties_high`` is set.  Not frozen, so a tracer can wrap
+    ``choose`` on the instance.
+    """
 
-def three_la1_admit(
-    l1: Rational, l2: Rational, l3: Rational, p_i: Rational, p_next: Rational
-) -> int:
-    """Pick a machine on the 16/33-then-15/33 budget cascade; M3 is the overflow."""
-    known = l1 + l2 + l3 + p_i + p_next
-    if 33 * (l1 + p_i) <= 16 * known:
-        return 1
-    if 33 * (l2 + p_i) <= 15 * known:
-        return 2
-    return 3
-
-
-class ListScheduling:
-    """Graham's rule: each job to a currently least-loaded machine."""
-
-    scheduler_id = SchedulerId.LS
-    machine_count = None  # any m >= 2
-    min_lookahead = 0
+    scheduler_id: SchedulerId | None
+    machine_count: int | None  # None: any m >= 2
+    min_lookahead: int
+    budgets: tuple[tuple[int, int, int], ...] = ()
+    ties_high: bool = False
 
     def choose(self, loads: tuple[Rational, ...], window: LookaheadWindow) -> int:
-        # min() keeps the first minimum, i.e. the lowest machine index
-        return min(range(len(loads)), key=loads.__getitem__) + 1
-
-
-class TwoMachineLookahead:
-    """Two-machine policy with one job of lookahead."""
-
-    scheduler_id = SchedulerId.TWO_LA1
-    machine_count = 2
-    min_lookahead = 1
-
-    def choose(self, loads: tuple[Rational, ...], window: LookaheadWindow) -> int:
-        l1, l2 = loads
-        if window.future:
-            return 1 if two_la1_admit(l1, l2, window.current, window.future[0]) else 2
-        # final job: least-loaded machine, ties to M2, so that a sequence of
-        # n equal jobs always leaves exactly floor(2n/3) of them on M1
-        return 1 if l1 < l2 else 2
-
-
-class ThreeMachineLookahead:
-    """Three-machine policy with one job of lookahead."""
-
-    scheduler_id = SchedulerId.THREE_LA1
-    machine_count = 3
-    min_lookahead = 1
-
-    def choose(self, loads: tuple[Rational, ...], window: LookaheadWindow) -> int:
-        if window.future:
-            return three_la1_admit(loads[0], loads[1], loads[2], window.current, window.future[0])
-        return min(range(3), key=loads.__getitem__) + 1
+        if self.budgets and window.future:
+            p = window.current
+            known = sum(loads, p + window.future[0])
+            for machine, a, b in self.budgets:
+                if b * (loads[machine - 1] + p) <= a * known:
+                    return machine
+            return len(loads)
+        # a plain scan, not min() with a key: it costs about half as much
+        # on this per-job path
+        high = self.ties_high
+        best = 0
+        for j in range(1, len(loads)):
+            if loads[j] <= loads[best] if high else loads[j] < loads[best]:
+                best = j
+        return best + 1
 
 
 _POLICIES: dict[SchedulerId, OnlinePolicy] = {
-    SchedulerId.LS: ListScheduling(),
-    SchedulerId.TWO_LA1: TwoMachineLookahead(),
-    SchedulerId.THREE_LA1: ThreeMachineLookahead(),
+    policy.scheduler_id: policy
+    for policy in (
+        # Graham's List Scheduling: every job to a least-loaded machine
+        BudgetCascade(SchedulerId.LS, None, 0),
+        # M1 within 2/3 of the known work, else M2; the final job ties to M2,
+        # so that n equal jobs always leave exactly floor(2n/3) of them on M1
+        BudgetCascade(SchedulerId.TWO_LA1, 2, 1, ((1, 2, 3),), ties_high=True),
+        # M1 within 16/33, then M2 within 15/33, else M3
+        BudgetCascade(SchedulerId.THREE_LA1, 3, 1, ((1, 16, 33), (2, 15, 33))),
+    )
 }
 
 

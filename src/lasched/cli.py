@@ -94,7 +94,7 @@ def _load_instance(args) -> tuple[Instance, str]:
 def _default_k(args) -> int:
     if args.k is not None:
         return args.k
-    return 0 if args.alg is SchedulerId.LS else 1
+    return policy_for(args.alg).min_lookahead
 
 
 def _print_trace(trace: DecisionTrace) -> None:

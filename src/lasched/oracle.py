@@ -201,21 +201,24 @@ def _witness_search(ints: list[int], m: int, state_cap: int) -> tuple[int, list[
         return [j + 1 for j in machines]
 
     # probe the lower bound first; only if it fails, bisect up to LPT, with
-    # every cap <= low infeasible and high feasible
+    # every cap <= low infeasible and high feasible, best its witness if
+    # probed; the LPT cap itself is probed only if no lower cap is feasible
     low = max(max(ints), -(-total // m))
     machines = probe(low)
     if machines is not None:
         return low * unit, machines
     high = _lpt_makespan(ints, m)
-    while True:
+    best = None
+    while high - low > 1:
         cap = (low + high + 1) // 2
         machines = probe(cap)
         if machines is None:
             low = cap
-        elif cap == low + 1:
-            return cap * unit, machines
         else:
-            high = cap
+            high, best = cap, machines
+    if best is None:
+        best = probe(high)
+    return high * unit, best
 
 
 def optimal_makespan_value(

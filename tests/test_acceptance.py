@@ -30,6 +30,7 @@ import pytest
 from brute_force import exhaustive_optimal_makespan
 from lasched import (
     FamilyId,
+    LookaheadWindow,
     SchedulerId,
     enumerate_instances,
     ls_schedule,
@@ -37,9 +38,9 @@ from lasched import (
     named_instance,
     optimal_makespan_value,
     play_theorem1,
+    policy_for,
     run_one,
     three_la1_schedule,
-    two_la1_admit,
     two_la1_schedule,
     verify_bound,
 )
@@ -65,7 +66,8 @@ def test_criterion_01_figure1_reproduction():
 
 def test_criterion_02_theorem2_tightness():
     # loads (2, 0) before job 3, window (1, 1): 3*(2+1) = 9 > 8 = 2*(2+0+1+1)
-    admits_third_unit = two_la1_admit(F(2), F(0), F(1), F(1))
+    window = LookaheadWindow(F(1), (F(1),))
+    third_unit = policy_for(SchedulerId.TWO_LA1).choose((F(2), F(0)), window)
     mismatches = []
     for n in range(4, 21):
         instance = named_instance(FamilyId("theorem2", n))
@@ -77,7 +79,7 @@ def test_criterion_02_theorem2_tightness():
         if n <= 6:
             ok = ok and ratio == F(4, 3)
         else:
-            ok = ok and ratio < F(4, 3) and not admits_third_unit
+            ok = ok and ratio < F(4, 3) and third_unit == 2
             ok = ok and trace.decisions[:3] == (1, 1, 2)
         if not ok:
             mismatches.append((n, trace.makespan, expected, opt, ratio, trace.decisions[:3]))
@@ -92,7 +94,8 @@ def test_criterion_02_theorem2_tightness():
             for n, alg, expected, opt, ratio, first in mismatches
         )
         detail = (
-            f"two_la1_admit(2, 0, 1, 1) = {admits_third_unit}; mismatches: " + listed
+            f"2la1 puts job 3 on M{third_unit} at loads (2, 0), window (1, 1); mismatches: "
+            + listed
         )
     _report(2, not mismatches, detail)
 

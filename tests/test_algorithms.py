@@ -4,16 +4,17 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from lasched import (
+    LookaheadWindow,
     SchedulerId,
+    enumerate_instances,
     ls_schedule,
     make_instance,
     policy_for,
     run_policy,
-    three_la1_admit,
     three_la1_schedule,
-    two_la1_admit,
     two_la1_schedule,
 )
+from reference_policies import reference_choose, three_la1_admit, two_la1_admit
 
 positive_fractions = st.fractions(min_value=F(1, 6), max_value=6, max_denominator=6)
 instances = st.lists(positive_fractions, min_size=1, max_size=8).map(make_instance)
@@ -44,6 +45,12 @@ def test_two_la1_admit_examples():
     # rejection: 3*(2+1) = 9 > 2*(2+0+1+1) = 8
     assert two_la1_admit(F(2), F(0), F(1), F(1)) is False
     assert two_la1_admit(F(1), F(1), F(1), F(1)) is True
+    # the same cases against the library's 2la1 row
+    choose = policy_for(SchedulerId.TWO_LA1).choose
+    assert choose((F(0), F(0)), LookaheadWindow(F(1), (F(1),))) == 1
+    assert choose((F(9), F(0)), LookaheadWindow(F(15), (F(12),))) == 1
+    assert choose((F(2), F(0)), LookaheadWindow(F(1), (F(1),))) == 2
+    assert choose((F(1), F(1)), LookaheadWindow(F(1), (F(1),))) == 1
 
 
 def test_two_la1_schedule_examples():
@@ -67,6 +74,11 @@ def test_three_la1_admit_examples():
     assert 33 * (F(0) + F(16)) == 16 * (F(0) + F(0) + F(16) + F(16) + F(1))
     assert three_la1_admit(F(0), F(0), F(16), F(16), F(1)) == 1
     assert three_la1_admit(F(0), F(0), F(0), F(1), F(1)) == 3
+    # the same cases against the library's 3la1 row
+    choose = policy_for(SchedulerId.THREE_LA1).choose
+    assert choose((F(0), F(0), F(0)), LookaheadWindow(F(16), (F(16),))) == 3
+    assert choose((F(0), F(0), F(16)), LookaheadWindow(F(16), (F(1),))) == 1
+    assert choose((F(0), F(0), F(0)), LookaheadWindow(F(1), (F(1),))) == 3
 
 
 def test_three_la1_schedule_examples():
@@ -99,6 +111,74 @@ def test_single_job_placements():
 def test_equal_job_structure(n, x):
     trace = two_la1_schedule(make_instance([x] * n))
     assert trace.decisions.count(1) == (2 * n) // 3
+
+
+# the README's verify grids: (scheduler, m, k, n_max, values)
+GOLDEN_GRIDS = [
+    (SchedulerId.TWO_LA1, 2, 1, 7, (1, 2, 3)),
+    (SchedulerId.TWO_LA1, 2, 1, 5, (1, 2, 3, 4, 5, 6)),
+    (SchedulerId.THREE_LA1, 3, 1, 6, (1, 2, 3)),
+    (SchedulerId.LS, 2, 0, 7, (1, 2, 3)),
+    (SchedulerId.LS, 3, 0, 6, (1, 2, 3)),
+]
+
+
+@pytest.mark.parametrize("scheduler,m,k,n_max,values", GOLDEN_GRIDS)
+def test_choose_matches_reference_on_golden_grids(scheduler, m, k, n_max, values):
+    policy = policy_for(scheduler)
+    values = [F(v) for v in values]
+    for n in range(1, n_max + 1):
+        for instance in enumerate_instances(n, values):
+            loads = (F(0),) * m
+            for record in run_policy(instance, policy, m, k).records:
+                assert record.machine == reference_choose(scheduler, loads, record.window)
+                loads = record.loads
+
+
+@given(loads=st.lists(st.integers(0, 3).map(F), min_size=2, max_size=5).map(tuple),
+       p=positive_fractions)
+def test_ls_choose_matches_reference_on_ties(loads, p):
+    # small integer loads tie often; LS picks the lowest least-loaded machine
+    window = LookaheadWindow(p, ())
+    assert policy_for(SchedulerId.LS).choose(loads, window) == reference_choose(
+        SchedulerId.LS, loads, window
+    )
+
+
+BUDGET_ROWS = [
+    (scheduler, row)
+    for scheduler in (SchedulerId.TWO_LA1, SchedulerId.THREE_LA1)
+    for row in range(len(policy_for(scheduler).budgets))
+]
+
+
+@pytest.mark.parametrize("scheduler,row", BUDGET_ROWS)
+@given(t=st.fractions(min_value=F(1, 12), max_value=1, max_denominator=12),
+       weights=st.lists(st.integers(0, 6), min_size=4, max_size=4))
+def test_choose_matches_reference_on_budget_boundaries(scheduler, row, t, weights):
+    # the known work l_1 + ... + l_m + p + q is 1, so row (j, a, b) admits
+    # exactly while l_j + p <= a/b; put l_j on that boundary and every earlier
+    # row's machine strictly past its own
+    policy = policy_for(scheduler)
+    m = policy.machine_count
+    machine, a, b = policy.budgets[row]
+    p = t * F(a, b)
+    loads = [F(0)] * m
+    loads[machine - 1] = F(a, b) - p
+    # the rest of the work is shared by weight: w[0] to q, w[j] to machine j
+    w = weights[: m + 1]
+    w[0] += 1
+    w[machine] = 0
+    for j, a_e, b_e in policy.budgets[:row]:
+        loads[j - 1] = max(F(0), F(a_e, b_e) - p)
+        w[j] += 1
+    unit = (1 - p - sum(loads)) / sum(w)
+    q = w[0] * unit
+    loads = tuple(load + w[j] * unit for j, load in enumerate(loads, 1))
+    window = LookaheadWindow(p, (q,))
+    assert b * (loads[machine - 1] + p) == a * (sum(loads) + p + q)
+    # ties admit
+    assert policy.choose(loads, window) == reference_choose(scheduler, loads, window) == machine
 
 
 @pytest.mark.parametrize("scheduler,m,k", SCHEDULERS)

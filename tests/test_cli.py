@@ -207,15 +207,20 @@ def test_version(capsys):
 
 
 # The README cookbook (less its --jobs 4 run, which the jobs-invariance test
-# above covers), the error paths and two oracle calls whose lower bound is
+# above covers), the error paths, two oracle calls whose lower bound is
 # infeasible, so their witness comes from a bisected cap: one at m = 3 and
-# one at m = 2 (25 jobs from 700..780, a shape no benchmark workload runs).
+# one at m = 2 (25 jobs from 700..780, a shape no benchmark workload runs),
+# and one trace per lookahead policy whose job 1 misses M1's budget by one
+# unit (3*81 = 243 > 242 and 33*17 = 561 > 560), worse than LS on the same
+# input (206/125 against 33/25) and than any ratio the verify grids reach.
 # Each case's directory under cli_golden/ holds its expected stdout, stderr
 # and exit code, plus every file the command writes; commands run in a
 # scratch directory that holds only copies of the FIXTURES below.
 GOLDEN_COMMANDS = {
     "simulate_trace": "simulate --alg 2la1 --m 2 --k 1 --family theorem2:n=6 --trace",
     "simulate_file": "simulate --alg ls --m 2 --instance jobs.txt",
+    "simulate_2la1_budget": "simulate --alg 2la1 --m 2 --instance la2_budget.txt --trace",
+    "simulate_3la1_budget": "simulate --alg 3la1 --m 3 --instance la3_budget.txt --trace",
     "oracle_thm4": "oracle --m 3 --family thm4:case=1",
     "oracle_lb_infeasible": "oracle --m 3 --instance lb_infeasible.txt",
     "oracle_m2_tight": "oracle --m 2 --instance m2_tight.txt",
@@ -249,7 +254,10 @@ GOLDEN_COMMANDS = {
 
 
 # the input files every golden command finds in its scratch directory
-FIXTURES = ("jobs.txt", "lb_infeasible.txt", "m2_tight.txt", "not_utf8.txt")
+FIXTURES = (
+    "jobs.txt", "la2_budget.txt", "la3_budget.txt", "lb_infeasible.txt", "m2_tight.txt",
+    "not_utf8.txt",
+)
 
 
 @pytest.mark.parametrize("case", GOLDEN_COMMANDS)

@@ -80,13 +80,14 @@ def test_capacity_exceeded():
         optimal_makespan_value(make_instance(range(1, 3001)), 2)
     with pytest.raises(CapacityExceeded):
         exhaustive_optimal_makespan(make_instance([1] * 13), 5)
-    # the witness search stores 555 dead-end load tuples on oracle-mix's
+    # the witness search stores 480 dead-end load tuples on oracle-mix's
     # heaviest call, whose lower bound 75 is infeasible at m = 3; children the
-    # wasted-room bound cuts are never stored
+    # wasted-room bound cuts are never stored, and the bisection keeps the
+    # witness of each feasible cap instead of probing it again
     instance = make_instance([1, 19, 33, 3, 27, 1, 31, 29, 19, 28, 34])
-    with pytest.raises(CapacityExceeded, match="past 554 states"):
-        optimal_makespan(instance, 3, state_cap=554)
-    assert optimal_makespan(instance, 3, state_cap=555).makespan == 77
+    with pytest.raises(CapacityExceeded, match="past 479 states"):
+        optimal_makespan(instance, 3, state_cap=479)
+    assert optimal_makespan(instance, 3, state_cap=480).makespan == 77
 
 
 def test_witness_search_does_not_recurse_per_job():
