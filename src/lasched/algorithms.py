@@ -3,8 +3,9 @@
 Each policy is a pure function of the current machine loads and the
 lookahead window of the arriving job, stored as one row of data for a
 single budget-cascade rule.  A window with an empty future marks the final
-job, which all policies send to a least-loaded machine; every admission
-inequality is evaluated by integer cross-multiplication so that the
+job, which all policies send to a least-loaded machine.  Every admission
+inequality is homogeneous, so it is compared as integers: the loads and
+the window are scaled once per call over their common denominator, and the
 equality cases admit exactly.
 """
 
@@ -15,7 +16,14 @@ from enum import Enum
 from fractions import Fraction
 from typing import Protocol
 
-from .core import Instance, InvalidParam, LookaheadWindow, Rational, check_machine_count
+from .core import (
+    Instance,
+    InvalidParam,
+    LookaheadWindow,
+    Rational,
+    check_machine_count,
+    scaled_ints,
+)
 
 
 class SchedulerMachineMismatch(InvalidParam):
@@ -73,10 +81,12 @@ class BudgetCascade:
     A job with a visible next job goes to machine j of the first budget row
     (j, a, b) with b*(l_j + p_i) <= a*(l_1 + ... + l_m + p_i + p_{i+1}),
     i.e. whose new load stays within a/b of all work known so far (ties
-    admit); if no row admits it, it goes to the last machine.  Every other
-    job goes to a least-loaded machine, ties to the lowest index, or to the
-    highest if ``ties_high`` is set.  Not frozen, so a tracer can wrap
-    ``choose`` on the instance.
+    admit); if no row admits it, it goes to the last machine.  The rows are
+    tested on the loads, p_i and p_{i+1} scaled to integers over their
+    common denominator.  Every other job goes to a least-loaded machine,
+    found on the Fractions, ties to the lowest index, or to the highest if
+    ``ties_high`` is set.  Not frozen, so a tracer can wrap ``choose`` on
+    the instance.
     """
 
     scheduler_id: SchedulerId | None
@@ -87,10 +97,14 @@ class BudgetCascade:
 
     def choose(self, loads: tuple[Rational, ...], window: LookaheadWindow) -> int:
         if self.budgets and window.future:
-            p = window.current
-            known = sum(loads, p + window.future[0])
+            # each row is homogeneous, so it holds on the values scaled to
+            # integers over their common denominator exactly when it holds on
+            # the Fractions, ties included
+            ints = scaled_ints((*loads, window.current, window.future[0]))[0]
+            p = ints[-2]
+            known = sum(ints)
             for machine, a, b in self.budgets:
-                if b * (loads[machine - 1] + p) <= a * known:
+                if b * (ints[machine - 1] + p) <= a * known:
                     return machine
             return len(loads)
         # a plain scan, not min() with a key: it costs about half as much

@@ -8,8 +8,9 @@ ever touch floating point; decimals appear only in display columns.
 
 from __future__ import annotations
 
+import math
 import re
-from collections.abc import Iterable
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -145,6 +146,16 @@ def parse_instance_text(text: str) -> Instance:
 def format_instance_text(instance: Instance) -> str:
     """Render an instance in the file format parsed by parse_instance_text."""
     return "".join(f"{format_rational(p)}\n" for p in instance.processing_times)
+
+
+def scaled_ints(values: Sequence[Rational]) -> tuple[list[int], int]:
+    """Scale rationals to integers by their denominators' lcm, integer-only; returns (ints, scale).
+
+    Every homogeneous comparison between the values keeps its truth value,
+    ties included, when made on the ints instead.
+    """
+    scale = math.lcm(*[v.denominator for v in values])
+    return [v.numerator * (scale // v.denominator) for v in values], scale
 
 
 def check_machine_count(machine_count: int) -> None:

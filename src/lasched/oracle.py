@@ -1,16 +1,18 @@
 """Exact optimal offline makespan, the classic lower bound, and ratios.
 
 The oracle scales all processing times to integers by the LCM of their
-denominators.  One search gives the value and witness of every m >= 2: it
-probes the lower bound max(p_max, ceil(T/m)); only if that fails it computes
-the LPT makespan and bisects up to it.  Under each cap a depth-first search
-tries machine 1 first; the last probe gives the witness.  The search cuts
-a child whose loads break the cap, whose sorted loads are a known dead end,
-or whose wasted room exceeds the slack m*cap - T: the wasted-space bound of
-bin-packing branch and bound (Martello and Toth, Knapsack Problems, 1990,
-ch. 8), where room below the smallest job still to come is wasted.  Waste
-is at most m*(p - 1) for that smallest job p, so the check runs only at
-depths where that exceeds the slack, and unit jobs skip it.  The value
+denominators (``core.scaled_ints``).  One search gives the value and witness
+of every m >= 2.  At m = 2 it takes the optimum from the value bitset and
+probes only there; for m >= 3, or if the bitset would pass ``state_cap``, it
+probes the lower bound max(p_max, ceil(T/m)) and, only if that fails,
+computes the LPT makespan and bisects up to it.  Under each cap a depth-first
+search tries machine 1 first; the last probe gives the witness.  The search
+cuts a child whose loads break the cap, whose sorted loads are a known dead
+end, or whose wasted room exceeds the slack m*cap - T: the wasted-space
+bound of bin-packing branch and bound (Martello and Toth, Knapsack Problems,
+1990, ch. 8), where room below the smallest job still to come is wasted.
+Waste is at most m*(p - 1) for that smallest job p, so the check runs only
+at depths where that exceeds the slack, and unit jobs skip it.  The value
 paths are a subset-sum bitset for m = 2 and, for every m >= 3, a layered
 reachable-load DP over load tuples, each kept sorted because the machines
 are identical.  Sending the m >= 3 value through the search waits for the
@@ -27,7 +29,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
 
-from .core import Instance, Rational, SchedulingError, check_machine_count
+from .core import Instance, Rational, SchedulingError, check_machine_count, scaled_ints
 
 DEFAULT_STATE_CAP = 5_000_000
 
@@ -36,12 +38,13 @@ class CapacityExceeded(SchedulingError):
     """A DP table would exceed its size bound, ``state_cap``.
 
     The m = 2 value bitset counts its bits over all its layers, one bit per
-    M1 load from 0 to the work shifted in so far.  For m >= 3 the value
-    path's DP counts the load tuples of all its layers together.  For every
-    m >= 2 the witness search counts the dead-end load tuples it stores,
-    summed over every cap it probes; children cut by the cap or by the
-    wasted-room bound are never stored.  Raised instead of ever degrading
-    accuracy; shrink the instance or raise the cap.
+    M1 load from 0 to the work shifted in so far; past the cap the m = 2
+    witness search falls back to its lower-bound probe instead of raising.
+    For m >= 3 the value path's DP counts the load tuples of all its layers
+    together.  For every m >= 2 the witness search counts the dead-end load
+    tuples it stores, summed over every cap it probes; children cut by the
+    cap or by the wasted-room bound are never stored.  Raised instead of ever
+    degrading accuracy; shrink the instance or raise the cap.
     """
 
 
@@ -53,13 +56,6 @@ class ZeroOpt(SchedulingError):
 class OptResult:
     makespan: Rational
     witness_assignment: dict[int, int]
-
-
-def _scaled_ints(instance: Instance) -> tuple[list[int], int]:
-    """Scale times to integers by their denominators' lcm, integer-only; returns (ints, scale)."""
-    times = instance.processing_times
-    scale = math.lcm(*[p.denominator for p in times])
-    return [p.numerator * (scale // p.denominator) for p in times], scale
 
 
 def _dp_two(ints: list[int], state_cap: int) -> int:
@@ -200,10 +196,17 @@ def _witness_search(ints: list[int], m: int, state_cap: int) -> tuple[int, list[
             j += 1
         return [j + 1 for j in machines]
 
-    # probe the lower bound first; only if it fails, bisect up to LPT, with
-    # every cap <= low infeasible and high feasible, best its witness if
-    # probed; the LPT cap itself is probed only if no lower cap is feasible
+    # at m = 2 the bitset gives the optimum, so one probe finds the witness;
+    # otherwise, or if the bitset would pass state_cap, probe the lower bound
+    # first; only if it fails, bisect up to LPT, with every cap <= low
+    # infeasible and high feasible, best its witness if probed; the LPT cap
+    # itself is probed only if no lower cap is feasible
     low = max(max(ints), -(-total // m))
+    if m == 2:
+        try:
+            low = _dp_two(ints, state_cap)
+        except CapacityExceeded:
+            pass
     machines = probe(low)
     if machines is not None:
         return low * unit, machines
@@ -225,7 +228,7 @@ def optimal_makespan_value(
     instance: Instance, machine_count: int, *, state_cap: int = DEFAULT_STATE_CAP
 ) -> Rational:
     """Exact minimum makespan without witness reconstruction (fast path)."""
-    ints, scale = _scaled_ints(instance)
+    ints, scale = scaled_ints(instance.processing_times)
     if machine_count == 2:
         best = _dp_two(ints, state_cap)
     else:
@@ -239,24 +242,26 @@ def optimal_makespan(
     """Exact minimum makespan over all assignments, plus one witness.
 
     One search serves every m >= 2, on the processing times scaled to
-    integers and divided by their gcd.  It probes the lower bound
-    max(p_max, ceil(T/m)) first; only if that fails does it compute the LPT
-    makespan and bisect up to it.  Each probe is a depth-first search over
-    labelled loads that tries machine 1 first and never lets a load exceed
-    the cap.  It also cuts a child once the room wasted on machines too full
-    for the smallest job still to come exceeds the slack m*cap - T; that
-    check is skipped at depths where the waste, at most m*(p - 1) for that
-    job p, cannot exceed the slack.  Both cuts drop only subtrees with no
-    feasible completion.  Dead-end load tuples over all probes are bounded
-    by ``state_cap``.  The search does not recurse per job, so instances of
-    thousands of jobs are fine.  ``optimal_makespan_value`` keeps its own
-    value paths; moving its m >= 3 DP onto this search waits for ROADMAP
-    item 1's benchmark fix.  The first assignment the probe at the optimal
-    cap reaches is the lexicographically smallest optimal one, the same
-    witness a brute force over all m^n assignments in lexicographic order
-    returns.
+    integers and divided by their gcd.  At m = 2 it takes the optimum from
+    the subset-sum bitset of ``optimal_makespan_value`` and probes only that
+    cap.  For m >= 3, or when that bitset would pass ``state_cap``, it probes
+    the lower bound max(p_max, ceil(T/m)) first; only if that fails does it
+    compute the LPT makespan and bisect up to it.  Each probe is a
+    depth-first search over labelled loads that tries machine 1 first and
+    never lets a load exceed the cap.  It also cuts a child once the room
+    wasted on machines too full for the smallest job still to come exceeds
+    the slack m*cap - T; that check is skipped at depths where the waste, at
+    most m*(p - 1) for that job p, cannot exceed the slack.  Both cuts drop
+    only subtrees with no feasible completion.  Dead-end load tuples over all
+    probes are bounded by ``state_cap``.  The search does not recurse per
+    job, so instances of thousands of jobs are fine.
+    ``optimal_makespan_value`` keeps its own value paths; moving its m >= 3
+    DP onto this search waits for ROADMAP item 1's benchmark fix.  The first
+    assignment the probe at the optimal cap reaches is the lexicographically
+    smallest optimal one, the same witness a brute force over all m^n
+    assignments in lexicographic order returns.
     """
-    ints, scale = _scaled_ints(instance)
+    ints, scale = scaled_ints(instance.processing_times)
     best, machines = _witness_search(ints, machine_count, state_cap)
     return OptResult(Fraction(best, scale), {i: m for i, m in enumerate(machines, 1)})
 

@@ -181,6 +181,30 @@ def test_choose_matches_reference_on_budget_boundaries(scheduler, row, t, weight
     assert policy.choose(loads, window) == reference_choose(scheduler, loads, window) == machine
 
 
+# denominators up to 10^9, often primes near it, so the common denominator
+# of one call runs to dozens of digits
+large_denominators = st.one_of(
+    st.integers(1, 10**9), st.sampled_from([999_999_937, 999_999_929, 999_999_893, 999_999_883])
+)
+
+
+def large_fractions(min_numerator):
+    return st.builds(F, st.integers(min_numerator, 10**9), large_denominators)
+
+
+@pytest.mark.parametrize("scheduler", [SchedulerId.TWO_LA1, SchedulerId.THREE_LA1])
+@given(loads=st.lists(large_fractions(0), min_size=3, max_size=3),
+       p=large_fractions(1), q=large_fractions(1))
+def test_choose_matches_reference_on_large_denominators(scheduler, loads, p, q):
+    # choose compares integers over the common denominator; off the budget
+    # boundaries every row must still decide as the Fraction reference does
+    loads = tuple(loads[: policy_for(scheduler).machine_count])
+    window = LookaheadWindow(p, (q,))
+    assert policy_for(scheduler).choose(loads, window) == reference_choose(
+        scheduler, loads, window
+    )
+
+
 @pytest.mark.parametrize("scheduler,m,k", SCHEDULERS)
 @given(instance=instances)
 def test_conservation_and_makespan(scheduler, m, k, instance):

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import lasched.oracle as oracle
+from lasched.core import scaled_ints
 from brute_force import exhaustive_optimal_makespan
 from lasched import (
     CapacityExceeded,
@@ -78,6 +79,11 @@ def test_capacity_exceeded():
     # so the bitset raises before it shifts anything
     with pytest.raises(CapacityExceeded, match="past 5000000 states"):
         optimal_makespan_value(make_instance(range(1, 3001)), 2)
+    # the m = 2 witness search falls back to the lower-bound probe when the
+    # bitset would pass the cap
+    with pytest.raises(CapacityExceeded):
+        optimal_makespan_value(make_instance(range(1, 1001)), 2)
+    assert optimal_makespan(make_instance(range(1, 1001)), 2).makespan == 250250
     with pytest.raises(CapacityExceeded):
         exhaustive_optimal_makespan(make_instance([1] * 13), 5)
     # the witness search stores 480 dead-end load tuples on oracle-mix's
@@ -113,7 +119,7 @@ mixed_fractions = st.builds(
 @given(times=st.lists(mixed_fractions, min_size=1, max_size=8))
 def test_scaled_ints_are_exact(times):
     instance = make_instance(times)
-    ints, scale = oracle._scaled_ints(instance)
+    ints, scale = scaled_ints(instance.processing_times)
     assert scale == math.lcm(*(p.denominator for p in instance.processing_times))
     assert ints == [int(p * scale) for p in instance.processing_times]
     assert [F(a, scale) for a in ints] == list(instance.processing_times)
@@ -128,6 +134,10 @@ def test_lpt_runs_only_after_the_lower_bound_fails(monkeypatch):
     monkeypatch.setattr(oracle, "_lpt_makespan", refuse)
     for times, m, opt in [([1, 1, 2], 2, 2), ([7, 4, 4, 7, 11], 3, 11), ([1] * 1200, 3, 400)]:
         assert optimal_makespan(make_instance(times), m).makespan == opt
+    # at m = 2 the search takes the optimum from the bitset and probes only
+    # there, though the lower bound 18409/2 of these 25 jobs is infeasible
+    tight = parse_instance_text((GOLDEN / "m2_tight.txt").read_text())
+    assert optimal_makespan(tight, 2).makespan == 9294
     # the lower bound 75 of oracle-mix's heaviest call is infeasible
     calls = []
     monkeypatch.setattr(oracle, "_lpt_makespan", lambda ints, m: calls.append(m) or lpt(ints, m))
