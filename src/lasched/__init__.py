@@ -48,7 +48,7 @@ from .harness import (
     VerificationReport,
     emit_csv,
     enumerate_instances,
-    run_family_sweep,
+    report_rows,
     run_one,
     verify_bound,
 )

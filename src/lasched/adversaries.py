@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from collections.abc import Callable, Sequence
+from collections.abc import Callable
 
 from .algorithms import DecisionTrace, OnlinePolicy, SchedulerId, policy_for, run_policy
 from .core import Instance, InvalidParam, Rational, make_instance
@@ -96,7 +96,9 @@ def parse_family_range(text: str) -> list[FamilyId]:
         try:
             values = range(int(low), int(high) + 1)
         except ValueError:
-            raise InvalidParam(f"bad range {raw!r} in --family") from None
+            values = range(0)
+        if not values:  # unparsable or reversed
+            raise InvalidParam(f"bad range {raw!r} in --family")
         return [FamilyId(kind, value) for value in values]
     return [parse_family_id(text)]
 
@@ -138,33 +140,27 @@ def _as_policy(scheduler: SchedulerId | OnlinePolicy) -> OnlinePolicy:
     return scheduler
 
 
-def _play_prefix(
-    times: Sequence[Rational], policy: OnlinePolicy, machine_count: int, k: int, upto: int
-) -> tuple[tuple[Rational, ...], tuple[int, ...]]:
-    """Loads and decisions after jobs 1..upto of a partially committed sequence.
-
-    Every window shown within the prefix must already be fully committed,
-    i.e. upto + k <= len(times).  The policy runs on times[:upto + k]; it is
-    pure, so the decisions it makes after job upto (on windows cut short by
-    the end of the committed values) are dropped without effect.
-    """
-    assert upto + k <= len(times)
-    trace = run_policy(make_instance(times[: upto + k]), policy, machine_count, k)
-    return trace.records[upto - 1].loads, trace.decisions[:upto]
+_Answer = Callable[[tuple[Rational, ...], tuple[int, ...]], tuple[Rational, str, bool]]
 
 
-def _finish_game(
-    policy: OnlinePolicy,
-    machine_count: int,
-    k: int,
-    times: list[Rational],
-    prefix_decisions: tuple[int, ...],
-    case: str,
-    degenerate: bool = False,
+def _commit_then_replay(
+    policy: OnlinePolicy, machine_count: int, k: int, committed: list[Rational], answer: _Answer
 ) -> GameTranscript:
-    instance = make_instance(times)
+    """Play a request-answer game in which every value but the last is committed.
+
+    The policy runs once on the committed values.  answer gets the loads and
+    decisions after the first len(committed) - k jobs, the ones whose windows
+    those values fill, and returns the last value, its case label and whether
+    it was clamped (degenerate).  The final instance is then replayed: a pure
+    policy repeats its prefix decisions there, and any other raises.
+    """
+    upto = len(committed) - k
+    live = run_policy(make_instance(committed), policy, machine_count, k)
+    decisions = live.decisions[:upto]
+    last, case, degenerate = answer(live.records[upto - 1].loads, decisions)
+    instance = make_instance([*committed, last])
     trace = run_policy(instance, policy, machine_count, k)
-    if trace.decisions[: len(prefix_decisions)] != prefix_decisions:
+    if trace.decisions[:upto] != decisions:
         raise RuntimeError("policy is not deterministic: replayed prefix diverged")
     opt = optimal_makespan_value(instance, machine_count)
     return GameTranscript(
@@ -199,20 +195,14 @@ def play_theorem1(
     if x <= 0:
         raise InvalidParam(f"x must be positive, got {x}")
 
-    prefix = [x] * (n - k - 1) + [Fraction(1)] * k
-    loads, decisions = _play_prefix(prefix, policy, 2, k, n - k - 1)
-    a, b = max(loads), min(loads)  # relabel so the case split is well defined
-    degenerate = False
-    if a >= 2 * b:
-        y: Rational = Fraction(k)
-        case = "1"
-    else:
+    def answer(loads, _):
+        a, b = max(loads), min(loads)  # relabel so the case split is well defined
+        if a >= 2 * b:
+            return Fraction(k), "1", False
         y = 2 * a - b
-        case = "2"
-        if y <= 0:
-            y = Fraction(1)
-            degenerate = True
-    return _finish_game(policy, 2, k, prefix + [y], decisions, case, degenerate)
+        return (y, "2", False) if y > 0 else (Fraction(1), "2", True)
+
+    return _commit_then_replay(policy, 2, k, [x] * (n - k - 1) + [Fraction(1)] * k, answer)
 
 
 def play_theorem4(scheduler: SchedulerId | OnlinePolicy) -> GameTranscript:
@@ -227,23 +217,13 @@ def play_theorem4(scheduler: SchedulerId | OnlinePolicy) -> GameTranscript:
     case label records which branch applied.  A policy bound to another
     machine count raises SchedulerMachineMismatch from run_policy.
     """
-    policy = _as_policy(scheduler)
-    k = 1
 
-    committed = [Fraction(7), Fraction(4), Fraction(4), Fraction(7)]
-    _, decisions = _play_prefix(committed, policy, 3, k, 3)
-    m1, m2, m3 = decisions
-    if m1 == m2:
-        case = "1" if m3 == m1 else "2.1"
-        p5 = Fraction(11)
-    elif m3 == m2:
-        case = "3b.1"
-        p5 = Fraction(8)
-    elif m3 == m1:
-        case = "3a.1"
-        p5 = Fraction(11)
-    else:
-        case = "1"
-        p5 = Fraction(11)
-    return _finish_game(policy, 3, k, committed + [p5], decisions, case)
+    def answer(_, decisions):
+        m1, m2, m3 = decisions
+        if m1 == m2:
+            return Fraction(11), "1" if m3 == m1 else "2.1", False
+        if m3 == m2:
+            return Fraction(8), "3b.1", False
+        return Fraction(11), "3a.1" if m3 == m1 else "1", False
 
+    return _commit_then_replay(_as_policy(scheduler), 3, 1, [Fraction(v) for v in (7, 4, 4, 7)], answer)

@@ -38,7 +38,8 @@ from .harness import (
     VerificationReport,
     emit_csv,
     inline_label,
-    run_family_sweep,
+    report_rows,
+    run_one,
     verify_bound,
 )
 from .oracle import competitive_ratio, opt_lower_bound, optimal_makespan, optimal_makespan_value
@@ -107,10 +108,10 @@ def _print_trace(trace: DecisionTrace) -> None:
         )
 
 
-def _write_csv(path: str | None, payload) -> None:
+def _write_csv(path: str | None, rows: list[ExperimentRow]) -> None:
     if path:
         with open(path, "w", encoding="utf-8", newline="") as handle:
-            handle.write(emit_csv(payload))
+            handle.write(emit_csv(rows))
 
 
 def _cmd_simulate(args) -> int:
@@ -174,7 +175,8 @@ def _cmd_verify(args) -> int:
         jobs=args.jobs,
     )
     _print_report(report)
-    _write_csv(args.csv, report)
+    if args.csv:
+        _write_csv(args.csv, report_rows(report))
     return VIOLATIONS_FOUND if report.violations else 0
 
 
@@ -231,7 +233,8 @@ def _cmd_generate(args) -> int:
 
 def _cmd_sweep(args) -> int:
     families = parse_family_range(args.family)
-    rows = run_family_sweep(args.alg, families, args.m, _default_k(args))
+    k = _default_k(args)
+    rows = [run_one(args.alg, named_instance(f), args.m, k, label=format_family_id(f)) for f in families]
     for row in rows:
         print(
             f"{row.instance_label}: alg={format_rational(row.alg_makespan)}"

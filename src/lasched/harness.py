@@ -1,4 +1,4 @@
-"""Experiment execution: single runs, family sweeps, exhaustive verification.
+"""Experiment execution: single runs, exhaustive verification, CSV output.
 
 verify_bound enumerates every instance over a bounded space, scores each one
 against the exact oracle, and reports the maximum ratio plus every instance
@@ -16,7 +16,6 @@ from fractions import Fraction
 from itertools import islice, product
 from collections.abc import Iterable, Iterator, Sequence
 
-from .adversaries import FamilyId, format_family_id, named_instance
 from .algorithms import SchedulerId, check_policy, policy_for, run_policy
 from .core import Instance, InvalidParam, Rational, make_instance
 from .oracle import CapacityExceeded, competitive_ratio, optimal_makespan_value
@@ -111,13 +110,14 @@ def _scan_chunk(
     capacity error then depends on the multiset alone, never on which
     ordering the chunk met first.
 
-    Returns (checked, best_ratio, best_values, violations); picklable
-    arguments only, so verification can fan out across processes.
+    Returns (checked, best, violations), where best is the least
+    (-ratio, times) pair: the largest ratio, ties broken towards the
+    lexicographically smallest instance.  Picklable arguments only, so
+    verification can fan out across processes.
     """
     scheduler = SchedulerId(scheduler_value)
     policy = policy_for(scheduler)
-    best_ratio: Rational | None = None
-    best_values: tuple[Rational, ...] | None = None
+    best: tuple[Rational, tuple[Rational, ...]] | None = None
     violations: list[tuple[tuple[Rational, ...], Rational]] = []
     opts: dict[tuple[Rational, ...], Rational] = {}
     for instance in enumerate_instances(n, values, start, stop):
@@ -131,11 +131,12 @@ def _scan_chunk(
         except CapacityExceeded as exc:
             raise CapacityExceeded(f"{exc} (instance {inline_label(times)})") from exc
         ratio = competitive_ratio(alg, opt)
-        if best_ratio is None or ratio > best_ratio or (ratio == best_ratio and times < best_values):
-            best_ratio, best_values = ratio, times
+        candidate = (-ratio, times)
+        if best is None or candidate < best:
+            best = candidate
         if ratio > bound:
             violations.append((times, ratio))
-    return stop - start, best_ratio, best_values, violations
+    return stop - start, best, violations
 
 
 def verify_bound(
@@ -153,8 +154,9 @@ def verify_bound(
     Never aborts on a violation; every instance exceeding the bound is
     collected into the report.  Each chunk computes OPT once per sorted
     multiset of processing times.  The result is identical for any worker
-    count: chunks reduce associatively and argmax ties break towards the
-    lexicographically smallest instance.
+    count: the chunks' counts add, their violations concatenate in
+    enumeration order, and the report's argmax is the least of the chunks'
+    best pairs, so ties break as they do within a chunk.
     """
     check_policy(policy_for(scheduler), m, k)
     if n_max < 1:
@@ -184,40 +186,19 @@ def verify_bound(
         with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_scan_chunk, *zip(*tasks)))
 
-    checked = 0
-    best_ratio: Rational | None = None
-    best_values: tuple[Rational, ...] | None = None
-    violations: list[tuple[tuple[Rational, ...], Rational]] = []
-    for count, ratio, arg_values, chunk_violations in results:
-        checked += count
-        if ratio is None:
-            continue
-        if best_ratio is None or ratio > best_ratio or (ratio == best_ratio and arg_values < best_values):
-            best_ratio, best_values = ratio, arg_values
-        violations.extend(chunk_violations)
-    assert best_ratio is not None and best_values is not None
+    neg_ratio, best_values = min(best for _, best, _ in results)
     return VerificationReport(
         scheduler=scheduler,
         m=m,
         k=k,
         n_max=n_max,
         values=values,
-        instances_checked=checked,
-        max_ratio=best_ratio,
+        instances_checked=sum(count for count, _, _ in results),
+        max_ratio=-neg_ratio,
         argmax_instance=make_instance(best_values),
-        violations=tuple((make_instance(v), r) for v, r in violations),
+        violations=tuple((make_instance(v), r) for _, _, found in results for v, r in found),
         target_bound=Fraction(target_bound),
     )
-
-
-def run_family_sweep(
-    scheduler: SchedulerId, families: Iterable[FamilyId], m: int, k: int
-) -> list[ExperimentRow]:
-    """One experiment row per family, in the given parameter order."""
-    return [
-        run_one(scheduler, named_instance(family), m, k, label=format_family_id(family))
-        for family in families
-    ]
 
 
 def report_rows(report: VerificationReport) -> list[ExperimentRow]:
@@ -244,16 +225,12 @@ def report_rows(report: VerificationReport) -> list[ExperimentRow]:
     return rows
 
 
-def emit_csv(rows_or_report: Iterable[ExperimentRow] | VerificationReport) -> str:
-    """Serialise rows (or a report's rows) as RFC-4180 CSV.
+def emit_csv(rows: Iterable[ExperimentRow]) -> str:
+    """Serialise rows as RFC-4180 CSV; a report's rows come from report_rows.
 
     Rationals are written exactly as "a/b"; the trailing ratio_decimal
     column is a rounded display-only convenience.
     """
-    if isinstance(rows_or_report, VerificationReport):
-        rows: Iterable[ExperimentRow] = report_rows(rows_or_report)
-    else:
-        rows = rows_or_report
     buffer = io.StringIO()
     writer = csv.writer(buffer)
     writer.writerow(CSV_HEADER)

@@ -173,6 +173,30 @@ def test_play_theorem1_against_stacker():
     assert transcript.ratio > 1
 
 
+class Flipper:
+    """Not deterministic: everything on M1 in its first run, on M2 afterwards."""
+
+    scheduler_id = None
+    machine_count = None
+    min_lookahead = 0
+
+    def __init__(self):
+        self.runs = 0
+
+    def choose(self, loads, window):
+        if not any(loads):  # job 1 starts a run
+            self.runs += 1
+        return 1 if self.runs == 1 else 2
+
+
+@pytest.mark.parametrize(
+    "play", [lambda p: play_theorem1(p, 10, 1, F(1)), play_theorem4], ids=["thm1", "thm4"]
+)
+def test_games_reject_a_policy_whose_replay_diverges(play):
+    with pytest.raises(RuntimeError, match="^policy is not deterministic: replayed prefix diverged$"):
+        play(Flipper())
+
+
 @pytest.mark.parametrize(
     "play",
     [

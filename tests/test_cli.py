@@ -133,15 +133,16 @@ def test_verify_violations_exit_two_and_are_printed_verbatim(capsys):
     assert "violation: 1,2,1,4 ratio 3/2" in out
 
 
-def test_verify_output_is_byte_identical_and_jobs_invariant(capsys):
+def test_verify_output_is_byte_identical_and_jobs_invariant(capsys, tmp_path):
     args = ("verify", "--alg", "ls", "--m", "2", "--k", "0",
             "--nmax", "4", "--values", "1,2,3", "--bound", "3/2")
-    code1, out1, _ = run(capsys, *args)
+    code1, out1, _ = run(capsys, *args, "--csv", str(tmp_path / "jobs1.csv"))
     code2, out2, _ = run(capsys, *args)
-    code4, out4, _ = run(capsys, *args, "--jobs", "4")
+    code4, out4, _ = run(capsys, *args, "--jobs", "4", "--csv", str(tmp_path / "jobs4.csv"))
     assert code1 == code2 == code4 == 0
     assert out1 == out2
     assert out1 == out4
+    assert (tmp_path / "jobs1.csv").read_bytes() == (tmp_path / "jobs4.csv").read_bytes()
 
 
 def test_verify_csv(capsys, tmp_path):
@@ -245,6 +246,7 @@ GOLDEN_COMMANDS = {
     "error_family_lemma6_low": "generate --family lemma6:x=0",
     "error_family_thm4_case": "generate --family thm4:case=4",
     "error_family_bad_range": "sweep --alg ls --m 2 --family theorem2:n=4..x",
+    "error_family_reversed_range": "sweep --alg 2la1 --m 2 --family theorem2:n=20..4",
     "error_values_empty": "verify --alg ls --m 2 --nmax 2 --values '' --bound 3/2",
     "error_values_token": "verify --alg ls --m 2 --nmax 2 --values 1,x --bound 3/2",
     "error_values_duplicate": "verify --alg ls --m 2 --nmax 2 --values 1,1 --bound 3/2",

@@ -14,14 +14,20 @@ from lasched import (
     SchedulerMachineMismatch,
     emit_csv,
     enumerate_instances,
+    format_family_id,
     make_instance,
     named_instance,
-    run_family_sweep,
+    report_rows,
     run_one,
     verify_bound,
 )
 
 VALUES_123 = (F(1), F(2), F(3))
+
+
+def _sweep(scheduler, families, m, k):
+    """One row per family, labelled by its id, as `lasched sweep` runs them."""
+    return [run_one(scheduler, named_instance(f), m, k, label=format_family_id(f)) for f in families]
 
 
 def test_run_one_examples():
@@ -123,6 +129,8 @@ def _uncached_report(scheduler, m, k, n_max, values, bound):
         (SchedulerId.THREE_LA1, 3, 1, VALUES_123, F(16, 11)),
         (SchedulerId.LS, 4, 0, VALUES_123, F(4, 3)),
         (SchedulerId.TWO_LA1, 2, 1, (F(1, 2), F(1), F(3, 2)), F(5, 4)),
+        # descending: ties break by value, not by the order the scan meets them
+        (SchedulerId.THREE_LA1, 3, 1, (F(3), F(2), F(1)), F(16, 11)),
     ],
 )
 def test_verify_bound_equals_uncached_reference(scheduler, m, k, values, bound, jobs):
@@ -221,20 +229,20 @@ def test_family_sweep_theorem2_makespans():
     # the family is tight only for n <= 6: from n = 7 on, every third unit
     # job overflows the two-thirds budget and lands on M2, giving
     # 4n - floor((n-4)/3) instead of 4n
-    rows = run_family_sweep(
+    rows = _sweep(
         SchedulerId.TWO_LA1, [FamilyId("theorem2", n) for n in range(4, 9)], 2, 1
     )
     assert [row.alg_makespan for row in rows] == [16, 20, 24, 27, 31]
     assert [row.opt_makespan for row in rows] == [12, 15, 18, 21, 24]
     assert [row.ratio for row in rows] == [F(4, 3), F(4, 3), F(4, 3), F(9, 7), F(31, 24)]
-    for n, row in zip(range(4, 21), run_family_sweep(
+    for n, row in zip(range(4, 21), _sweep(
         SchedulerId.TWO_LA1, [FamilyId("theorem2", n) for n in range(4, 21)], 2, 1
     )):
         assert row.alg_makespan == 4 * n - (n - 4) // 3
 
 
 def test_family_sweep_equal_jobs_baseline():
-    rows = run_family_sweep(
+    rows = _sweep(
         SchedulerId.LS, [FamilyId("corollary21", x) for x in (1, 2, 3)], 2, 0
     )
     assert [row.ratio for row in rows] == [1, 1, 1]
@@ -242,7 +250,7 @@ def test_family_sweep_equal_jobs_baseline():
 
 
 def test_family_sweep_lemma6():
-    (row,) = run_family_sweep(SchedulerId.THREE_LA1, [FamilyId("lemma6", 1)], 3, 1)
+    (row,) = _sweep(SchedulerId.THREE_LA1, [FamilyId("lemma6", 1)], 3, 1)
     assert row.alg_makespan == 16
     assert row.opt_makespan == 11
     assert row.ratio == F(16, 11)
@@ -261,7 +269,7 @@ def test_emit_csv_single_row():
 
 
 def test_emit_csv_theorem2_sweep_ratios():
-    rows = run_family_sweep(
+    rows = _sweep(
         SchedulerId.TWO_LA1, [FamilyId("theorem2", n) for n in (4, 5, 6)], 2, 1
     )
     lines = emit_csv(rows).splitlines()[1:]
@@ -276,6 +284,6 @@ def test_emit_csv_quotes_inline_instance_labels():
 
 def test_emit_csv_accepts_report():
     report = verify_bound(SchedulerId.TWO_LA1, 2, 1, 3, (F(1), F(2)), F(1))
-    lines = emit_csv(report).splitlines()
+    lines = emit_csv(report_rows(report)).splitlines()
     # argmax row first, then one row per violation
     assert len(lines) == 1 + 1 + len(report.violations)
