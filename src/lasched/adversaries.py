@@ -16,7 +16,7 @@ from collections.abc import Callable
 
 from .algorithms import DecisionTrace, OnlinePolicy, SchedulerId, policy_for, run_policy
 from .core import Instance, InvalidParam, Rational, make_instance
-from .oracle import competitive_ratio, optimal_makespan_value
+from .harness import run_one
 
 # (p4, p5) tails of the five-job ambush family, per case id
 _THM4_TAILS: dict[str, tuple[int, int]] = {
@@ -134,12 +134,6 @@ class GameTranscript:
     degenerate: bool = False
 
 
-def _as_policy(scheduler: SchedulerId | OnlinePolicy) -> OnlinePolicy:
-    if isinstance(scheduler, SchedulerId):
-        return policy_for(scheduler)
-    return scheduler
-
-
 _Answer = Callable[[tuple[Rational, ...], tuple[int, ...]], tuple[Rational, str, bool]]
 
 
@@ -151,26 +145,19 @@ def _commit_then_replay(
     The policy runs once on the committed values.  answer gets the loads and
     decisions after the first len(committed) - k jobs, the ones whose windows
     those values fill, and returns the last value, its case label and whether
-    it was clamped (degenerate).  The final instance is then replayed: a pure
-    policy repeats its prefix decisions there, and any other raises.
+    it was clamped (degenerate).  The final instance is then scored by
+    run_one: a pure policy repeats its prefix decisions there, and any other
+    raises.
     """
     upto = len(committed) - k
     live = run_policy(make_instance(committed), policy, machine_count, k)
     decisions = live.decisions[:upto]
     last, case, degenerate = answer(live.records[upto - 1].loads, decisions)
     instance = make_instance([*committed, last])
-    trace = run_policy(instance, policy, machine_count, k)
-    if trace.decisions[:upto] != decisions:
+    row = run_one(policy, instance, machine_count, k)
+    if row.trace.decisions[:upto] != decisions:
         raise RuntimeError("policy is not deterministic: replayed prefix diverged")
-    opt = optimal_makespan_value(instance, machine_count)
-    return GameTranscript(
-        trace=trace,
-        final_instance=instance,
-        opt_makespan=opt,
-        ratio=competitive_ratio(trace.makespan, opt),
-        case=case,
-        degenerate=degenerate,
-    )
+    return GameTranscript(row.trace, instance, row.opt_makespan, row.ratio, case, degenerate)
 
 
 def play_theorem1(
@@ -183,11 +170,10 @@ def play_theorem1(
     n-k arrives): with loads relabelled so a >= b, the final job is k when
     a >= 2b, else 2a - b.  A non-positive final value (impossible once
     n >= k + 2, but guarded anyway) is clamped to 1 and the transcript is
-    flagged degenerate.  A policy bound to another machine count raises
-    SchedulerMachineMismatch from run_policy.
+    flagged degenerate.  A policy bound to another machine count, or needing
+    more than k jobs of lookahead, raises from run_policy's check_policy.
     """
-    policy = _as_policy(scheduler)
-    if k < max(1, policy.min_lookahead):
+    if k < 1:
         raise InvalidParam(f"lookahead must be >= 1, got {k}")
     if n < k + 2:
         raise InvalidParam(f"need n >= k + 2, got n={n}, k={k}")
@@ -202,7 +188,7 @@ def play_theorem1(
         y = 2 * a - b
         return (y, "2", False) if y > 0 else (Fraction(1), "2", True)
 
-    return _commit_then_replay(policy, 2, k, [x] * (n - k - 1) + [Fraction(1)] * k, answer)
+    return _commit_then_replay(policy_for(scheduler), 2, k, [x] * (n - k - 1) + [Fraction(1)] * k, answer)
 
 
 def play_theorem4(scheduler: SchedulerId | OnlinePolicy) -> GameTranscript:
@@ -211,19 +197,20 @@ def play_theorem4(scheduler: SchedulerId | OnlinePolicy) -> GameTranscript:
     The prefix 7, 4, 4 is fixed.  The game always commits 7 as the fourth
     value, so it can be committed when job 3 arrives without knowing where
     job 3 will go; the named thm4:case tails, by contrast, use p4 in
-    {4, 7, 8, 11}.  The fifth value is committed when job 4 arrives, from
-    the placements of jobs 1..3 alone: 8 if jobs 1 and 2 sit on different
-    machines and job 3 joined job 2, else 11.  The transcript's
-    case label records which branch applied.  A policy bound to another
-    machine count raises SchedulerMachineMismatch from run_policy.
+    {4, 7, 8, 11}.  When job 4 arrives the placements of jobs 1..3 alone
+    pick a case whose tail starts with that 7: "3b.1" if jobs 1 and 2 sit on
+    different machines and job 3 joined job 2, else "1", "2.1" or "3a.1".
+    The fifth value is that case's from the thm4:case tails, so the final
+    instance is thm4:case=<label>.  A policy bound to another machine count
+    raises SchedulerMachineMismatch from run_policy.
     """
 
     def answer(_, decisions):
         m1, m2, m3 = decisions
         if m1 == m2:
-            return Fraction(11), "1" if m3 == m1 else "2.1", False
-        if m3 == m2:
-            return Fraction(8), "3b.1", False
-        return Fraction(11), "3a.1" if m3 == m1 else "1", False
+            case = "1" if m3 == m1 else "2.1"
+        else:
+            case = "3b.1" if m3 == m2 else "3a.1" if m3 == m1 else "1"
+        return Fraction(_THM4_TAILS[case][1]), case, False
 
-    return _commit_then_replay(_as_policy(scheduler), 3, 1, [Fraction(v) for v in (7, 4, 4, 7)], answer)
+    return _commit_then_replay(policy_for(scheduler), 3, 1, [Fraction(v) for v in (7, 4, 4, 7)], answer)

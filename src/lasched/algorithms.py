@@ -131,14 +131,22 @@ _POLICIES: dict[SchedulerId, OnlinePolicy] = {
 }
 
 
-def policy_for(scheduler: SchedulerId) -> OnlinePolicy:
-    return _POLICIES[scheduler]
+def policy_for(policy: SchedulerId | OnlinePolicy) -> OnlinePolicy:
+    """The built-in policy of a SchedulerId; any other policy is returned as is."""
+    if isinstance(policy, SchedulerId):
+        return _POLICIES[policy]
+    return policy
+
+
+def policy_name(policy: OnlinePolicy) -> str:
+    """The name printed for a policy: its SchedulerId's value, else "policy"."""
+    return policy.scheduler_id.value if policy.scheduler_id is not None else "policy"
 
 
 def check_policy(policy: OnlinePolicy, m: int, k: int) -> None:
     """Raise unless the policy can run on m machines with k-lookahead."""
     check_machine_count(m)
-    name = policy.scheduler_id.value if policy.scheduler_id is not None else "policy"
+    name = policy_name(policy)
     if policy.machine_count is not None and policy.machine_count != m:
         raise SchedulerMachineMismatch(f"{name} requires m={policy.machine_count}, got m={m}")
     if k < policy.min_lookahead:

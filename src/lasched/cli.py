@@ -22,7 +22,7 @@ from .adversaries import (
     play_theorem1,
     play_theorem4,
 )
-from .algorithms import DecisionTrace, SchedulerId, policy_for, run_policy
+from .algorithms import DecisionTrace, SchedulerId, policy_for, policy_name
 from .core import (
     Instance,
     Rational,
@@ -42,7 +42,7 @@ from .harness import (
     run_one,
     verify_bound,
 )
-from .oracle import competitive_ratio, opt_lower_bound, optimal_makespan, optimal_makespan_value
+from .oracle import opt_lower_bound, optimal_makespan
 
 USAGE_ERROR = 1
 VIOLATIONS_FOUND = 2
@@ -93,9 +93,7 @@ def _load_instance(args) -> tuple[Instance, str]:
 
 
 def _default_k(args) -> int:
-    if args.k is not None:
-        return args.k
-    return policy_for(args.alg).min_lookahead
+    return policy_for(args.alg).min_lookahead if args.k is None else args.k
 
 
 def _print_trace(trace: DecisionTrace) -> None:
@@ -116,20 +114,17 @@ def _write_csv(path: str | None, rows: list[ExperimentRow]) -> None:
 
 def _cmd_simulate(args) -> int:
     instance, label = _load_instance(args)
-    k = _default_k(args)
-    trace = run_policy(instance, policy_for(args.alg), args.m, k)
-    opt = optimal_makespan_value(instance, args.m)
-    ratio = competitive_ratio(trace.makespan, opt)
-    print(f"scheduler: {args.alg.value}")
+    row = run_one(args.alg, instance, args.m, _default_k(args), label=label)
+    print(f"scheduler: {policy_name(row.policy)}")
     print(f"instance: {label} = {inline_label(instance.processing_times)}")
-    print(f"m: {args.m}")
-    print(f"k: {k}")
-    print(f"alg_makespan: {format_rational(trace.makespan)}")
-    print(f"opt_makespan: {format_rational(opt)}")
-    print(f"ratio: {_ratio_str(ratio)}")
+    print(f"m: {row.m}")
+    print(f"k: {row.k}")
+    print(f"alg_makespan: {format_rational(row.alg_makespan)}")
+    print(f"opt_makespan: {format_rational(row.opt_makespan)}")
+    print(f"ratio: {_ratio_str(row.ratio)}")
     if args.trace:
-        _print_trace(trace)
-    _write_csv(args.csv, [ExperimentRow(args.alg, label, args.m, k, trace.makespan, opt, ratio)])
+        _print_trace(row.trace)
+    _write_csv(args.csv, [row])
     return 0
 
 
@@ -146,7 +141,7 @@ def _cmd_oracle(args) -> int:
 
 
 def _print_report(report: VerificationReport) -> None:
-    print(f"scheduler: {report.scheduler.value}")
+    print(f"scheduler: {policy_name(report.policy)}")
     print(f"m: {report.m}")
     print(f"k: {report.k}")
     print(f"space: n=1..{report.n_max} values={inline_label(report.values)}")
@@ -201,11 +196,13 @@ def _print_transcript(game: str, transcript: GameTranscript, trace: bool) -> Non
 def _cmd_adversary(args) -> int:
     if args.game == "thm1":
         try:
-            x = parse_rational(args.x)
+            x = parse_rational("1" if args.x is None else args.x)
         except ValueError as exc:
             raise _UsageError(f"--x: {exc}") from None
-        transcript = play_theorem1(args.alg, args.n, _default_k(args), x)
+        transcript = play_theorem1(args.alg, 100 if args.n is None else args.n, _default_k(args), x)
     else:
+        if args.n is not None or args.x is not None or args.k not in (None, 1):
+            raise _UsageError("--game thm4 takes no --n, no --x and no --k other than 1")
         transcript = play_theorem4(args.alg)
     _print_transcript(args.game, transcript, args.trace)
     return 0
@@ -253,9 +250,15 @@ def _add_common(parser: _Parser, *, alg: bool = True, machines: bool = True) -> 
             metavar="{ls,2la1,3la1}",
             required=True,
         )
+        parser.add_argument("--k", type=int, default=None, help="lookahead size (default: 1, or 0 for ls)")
     if machines:
         parser.add_argument("--m", type=int, required=True, help="machine count")
-    parser.add_argument("--k", type=int, default=None, help="lookahead size (default: 1, or 0 for ls)")
+
+
+def _add_source(parser: _Parser) -> None:
+    source = parser.add_mutually_exclusive_group()
+    source.add_argument("--instance", help="path to an instance file")
+    source.add_argument("--family", help="named family, e.g. theorem2:n=6")
 
 
 def build_parser() -> _Parser:
@@ -272,16 +275,14 @@ def build_parser() -> _Parser:
 
     simulate = commands.add_parser("simulate", help="run one scheduler on one instance")
     _add_common(simulate)
-    simulate.add_argument("--instance", help="path to an instance file")
-    simulate.add_argument("--family", help="named family, e.g. theorem2:n=6")
+    _add_source(simulate)
     simulate.add_argument("--trace", action="store_true", help="print every decision")
     simulate.add_argument("--csv", help="also write the row to a CSV file")
     simulate.set_defaults(func=_cmd_simulate)
 
     oracle = commands.add_parser("oracle", help="exact optimal offline makespan")
     _add_common(oracle, alg=False)
-    oracle.add_argument("--instance", help="path to an instance file")
-    oracle.add_argument("--family", help="named family, e.g. thm4:case=1")
+    _add_source(oracle)
     oracle.set_defaults(func=_cmd_oracle)
 
     verify = commands.add_parser("verify", help="exhaustively check a ratio bound")
@@ -296,8 +297,8 @@ def build_parser() -> _Parser:
     adversary = commands.add_parser("adversary", help="play a lower-bound game")
     adversary.add_argument("--game", choices=("thm1", "thm4"), required=True)
     _add_common(adversary, machines=False)
-    adversary.add_argument("--n", type=int, default=100, help="thm1: total number of jobs")
-    adversary.add_argument("--x", default="1", help="thm1: prefix job length (rational)")
+    adversary.add_argument("--n", type=int, help="thm1: total number of jobs (default: 100)")
+    adversary.add_argument("--x", help="thm1: prefix job length, a rational (default: 1)")
     adversary.add_argument("--trace", action="store_true", help="print every revealed window")
     adversary.set_defaults(func=_cmd_adversary)
 

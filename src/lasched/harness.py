@@ -16,7 +16,9 @@ from fractions import Fraction
 from itertools import islice, product
 from collections.abc import Iterable, Iterator, Sequence
 
-from .algorithms import SchedulerId, check_policy, policy_for, run_policy
+from .algorithms import (
+    DecisionTrace, OnlinePolicy, SchedulerId, check_policy, policy_for, policy_name, run_policy,
+)
 from .core import Instance, InvalidParam, Rational, make_instance
 from .oracle import CapacityExceeded, competitive_ratio, optimal_makespan_value
 
@@ -25,18 +27,24 @@ CSV_HEADER = ("scheduler", "instance", "m", "k", "alg_makespan", "opt_makespan",
 
 @dataclass(frozen=True)
 class ExperimentRow:
-    scheduler: SchedulerId
+    """One scored run: the policy, its trace on the instance, OPT and the ratio."""
+
+    policy: OnlinePolicy
     instance_label: str
     m: int
     k: int
-    alg_makespan: Rational
+    trace: DecisionTrace
     opt_makespan: Rational
     ratio: Rational
+
+    @property
+    def alg_makespan(self) -> Rational:
+        return self.trace.makespan
 
 
 @dataclass(frozen=True)
 class VerificationReport:
-    scheduler: SchedulerId
+    policy: OnlinePolicy
     m: int
     k: int
     n_max: int
@@ -53,19 +61,20 @@ def inline_label(values: Sequence[Rational]) -> str:
 
 
 def run_one(
-    scheduler: SchedulerId, instance: Instance, m: int, k: int, label: str | None = None
+    policy: SchedulerId | OnlinePolicy, instance: Instance, m: int, k: int, label: str | None = None
 ) -> ExperimentRow:
-    """Run one scheduler on one instance and score it against the oracle."""
-    alg = run_policy(instance, policy_for(scheduler), m, k).makespan
+    """Run a policy once on one instance and score it against the oracle."""
+    policy = policy_for(policy)
+    trace = run_policy(instance, policy, m, k)
     opt = optimal_makespan_value(instance, m)
     return ExperimentRow(
-        scheduler=scheduler,
+        policy=policy,
         instance_label=label if label is not None else inline_label(instance.processing_times),
         m=m,
         k=k,
-        alg_makespan=alg,
+        trace=trace,
         opt_makespan=opt,
-        ratio=competitive_ratio(alg, opt),
+        ratio=competitive_ratio(trace.makespan, opt),
     )
 
 
@@ -94,7 +103,7 @@ def enumerate_instances(
 
 
 def _scan_chunk(
-    scheduler_value: str,
+    policy: OnlinePolicy,
     m: int,
     k: int,
     n: int,
@@ -112,11 +121,9 @@ def _scan_chunk(
 
     Returns (checked, best, violations), where best is the least
     (-ratio, times) pair: the largest ratio, ties broken towards the
-    lexicographically smallest instance.  Picklable arguments only, so
-    verification can fan out across processes.
+    lexicographically smallest instance.  Picklable arguments only (a
+    BudgetCascade pickles), so verification can fan out across processes.
     """
-    scheduler = SchedulerId(scheduler_value)
-    policy = policy_for(scheduler)
     best: tuple[Rational, tuple[Rational, ...]] | None = None
     violations: list[tuple[tuple[Rational, ...], Rational]] = []
     opts: dict[tuple[Rational, ...], Rational] = {}
@@ -140,7 +147,7 @@ def _scan_chunk(
 
 
 def verify_bound(
-    scheduler: SchedulerId,
+    policy: SchedulerId | OnlinePolicy,
     m: int,
     k: int,
     n_max: int,
@@ -158,7 +165,8 @@ def verify_bound(
     enumeration order, and the report's argmax is the least of the chunks'
     best pairs, so ties break as they do within a chunk.
     """
-    check_policy(policy_for(scheduler), m, k)
+    policy = policy_for(policy)
+    check_policy(policy, m, k)
     if n_max < 1:
         raise InvalidParam(f"n_max must be >= 1, got {n_max}")
     values = _check_values(values)
@@ -172,7 +180,7 @@ def verify_bound(
         total = len(values) ** n
         chunk = -(-total // jobs)  # ceil division
         for start in range(0, total, chunk):
-            tasks.append((scheduler.value, m, k, n, values, start, min(start + chunk, total), target_bound))
+            tasks.append((policy, m, k, n, values, start, min(start + chunk, total), target_bound))
 
     if jobs == 1:
         results = [_scan_chunk(*task) for task in tasks]
@@ -188,7 +196,7 @@ def verify_bound(
 
     neg_ratio, best_values = min(best for _, best, _ in results)
     return VerificationReport(
-        scheduler=scheduler,
+        policy=policy,
         m=m,
         k=k,
         n_max=n_max,
@@ -202,27 +210,9 @@ def verify_bound(
 
 
 def report_rows(report: VerificationReport) -> list[ExperimentRow]:
-    """Flatten a report into rows: the argmax instance, then each violation.
-
-    Only the policy is rerun; the optimum follows exactly from the ratio the
-    report already holds.
-    """
-    policy = policy_for(report.scheduler)
-    rows = []
-    for instance, ratio in ((report.argmax_instance, report.max_ratio), *report.violations):
-        alg = run_policy(instance, policy, report.m, report.k).makespan
-        rows.append(
-            ExperimentRow(
-                scheduler=report.scheduler,
-                instance_label=inline_label(instance.processing_times),
-                m=report.m,
-                k=report.k,
-                alg_makespan=alg,
-                opt_makespan=alg / ratio,
-                ratio=ratio,
-            )
-        )
-    return rows
+    """Flatten a report into rows, each scored by run_one: the argmax instance, then each violation."""
+    instances = (report.argmax_instance, *(instance for instance, _ in report.violations))
+    return [run_one(report.policy, instance, report.m, report.k) for instance in instances]
 
 
 def emit_csv(rows: Iterable[ExperimentRow]) -> str:
@@ -237,7 +227,7 @@ def emit_csv(rows: Iterable[ExperimentRow]) -> str:
     for row in rows:
         writer.writerow(
             (
-                row.scheduler.value,
+                policy_name(row.policy),
                 row.instance_label,
                 row.m,
                 row.k,

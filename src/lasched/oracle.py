@@ -1,7 +1,8 @@
 """Exact optimal offline makespan, the classic lower bound, and ratios.
 
 The oracle scales all processing times to integers by the LCM of their
-denominators (``core.scaled_ints``).  One search gives the value and witness
+denominators (``core.scaled_ints``) and divides them by their gcd, on both
+the value and the witness path.  One search gives the value and witness
 of every m >= 2.  At m = 2 it takes the optimum from the value bitset and
 probes only there; for m >= 3, or if the bitset would pass ``state_cap``, it
 probes the lower bound max(p_max, ceil(T/m)) and, only if that fails,
@@ -136,9 +137,6 @@ def _lpt_makespan(ints: list[int], m: int) -> int:
 def _witness_search(ints: list[int], m: int, state_cap: int) -> tuple[int, list[int]]:
     """Smallest feasible cap between the lower bound and LPT, and its smallest witness."""
     check_machine_count(m)
-    unit = math.gcd(*ints)
-    if unit > 1:
-        ints = [a // unit for a in ints]
     n = len(ints)
     total = sum(ints)
     # after[i]: the smallest job after job i (0 after the last); nondecreasing
@@ -209,7 +207,7 @@ def _witness_search(ints: list[int], m: int, state_cap: int) -> tuple[int, list[
             pass
     machines = probe(low)
     if machines is not None:
-        return low * unit, machines
+        return low, machines
     high = _lpt_makespan(ints, m)
     best = None
     while high - low > 1:
@@ -221,19 +219,28 @@ def _witness_search(ints: list[int], m: int, state_cap: int) -> tuple[int, list[
             high, best = cap, machines
     if best is None:
         best = probe(high)
-    return high * unit, best
+    return high, best
+
+
+def _coprime_ints(instance: Instance) -> tuple[list[int], int, int]:
+    """The processing times as integers with gcd 1, plus unit and scale: p_i = ints[i]*unit/scale."""
+    ints, scale = scaled_ints(instance.processing_times)
+    unit = math.gcd(*ints)
+    if unit > 1:
+        ints = [a // unit for a in ints]
+    return ints, unit, scale
 
 
 def optimal_makespan_value(
     instance: Instance, machine_count: int, *, state_cap: int = DEFAULT_STATE_CAP
 ) -> Rational:
     """Exact minimum makespan without witness reconstruction (fast path)."""
-    ints, scale = scaled_ints(instance.processing_times)
+    ints, unit, scale = _coprime_ints(instance)
     if machine_count == 2:
         best = _dp_two(ints, state_cap)
     else:
         best = _dp_sorted(ints, machine_count, state_cap)
-    return Fraction(best, scale)
+    return Fraction(best * unit, scale)
 
 
 def optimal_makespan(
@@ -261,9 +268,9 @@ def optimal_makespan(
     smallest optimal one, the same witness a brute force over all m^n
     assignments in lexicographic order returns.
     """
-    ints, scale = scaled_ints(instance.processing_times)
+    ints, unit, scale = _coprime_ints(instance)
     best, machines = _witness_search(ints, machine_count, state_cap)
-    return OptResult(Fraction(best, scale), {i: m for i, m in enumerate(machines, 1)})
+    return OptResult(Fraction(best * unit, scale), {i: m for i, m in enumerate(machines, 1)})
 
 
 def opt_lower_bound(instance: Instance, machine_count: int) -> Rational:

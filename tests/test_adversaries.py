@@ -173,6 +173,55 @@ def test_play_theorem1_against_stacker():
     assert transcript.ratio > 1
 
 
+class NeedsTwo(Stacker):
+    """Asks for two jobs of lookahead."""
+
+    min_lookahead = 2
+
+
+def test_play_theorem1_names_the_policy_lookahead_bound():
+    with pytest.raises(InvalidParam, match=r"^policy needs lookahead >= 2, got k=1$"):
+        play_theorem1(NeedsTwo(), 10, 1, F(1))
+    with pytest.raises(InvalidParam, match=r"^lookahead must be >= 1, got 0$"):
+        play_theorem1(NeedsTwo(), 10, 0, F(1))
+    assert play_theorem1(NeedsTwo(), 10, 2, F(1)).case == "1"
+
+
+class Scripted:
+    """Places jobs 1..3 as scripted and every later job on M1."""
+
+    scheduler_id = None
+    machine_count = None
+    min_lookahead = 0
+
+    def __init__(self, *script):
+        self.script = script
+        self.placed = 0
+
+    def choose(self, loads, window):
+        if not any(loads):  # job 1 starts a run
+            self.placed = 0
+        self.placed += 1
+        return self.script[self.placed - 1] if self.placed <= len(self.script) else 1
+
+
+@pytest.mark.parametrize(
+    "policy,case",
+    [
+        (SchedulerId.LS, "1"),
+        (SchedulerId.THREE_LA1, "3b.1"),
+        (Stacker(), "1"),
+        (Scripted(1, 1, 2), "2.1"),
+        (Scripted(1, 2, 1), "3a.1"),
+    ],
+    ids=["ls", "3la1", "stacker", "2.1", "3a.1"],
+)
+def test_play_theorem4_ends_on_its_named_case(policy, case):
+    transcript = play_theorem4(policy)
+    assert transcript.case == case
+    assert transcript.final_instance == named_instance(FamilyId("thm4", case))
+
+
 class Flipper:
     """Not deterministic: everything on M1 in its first run, on M2 afterwards."""
 

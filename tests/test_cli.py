@@ -171,6 +171,35 @@ def test_adversary_thm4(capsys):
     assert "ratio: 15/11" in out
 
 
+def test_adversary_defaults_and_thm4_at_k1_keep_their_golden_bytes(capsys):
+    code, out, _ = run(capsys, "adversary", "--game", "thm1", "--alg", "ls", "--k", "1")
+    assert code == 0
+    assert out.encode() == (GOLDEN / "adversary_thm1" / "stdout").read_bytes()
+    code, out, _ = run(capsys, "adversary", "--game", "thm4", "--alg", "3la1", "--k", "1")
+    assert code == 0
+    assert out.encode() == (GOLDEN / "adversary_thm4" / "stdout").read_bytes()
+
+
+# argparse words its usage lines differently across Python versions, so these
+# are pinned by exit code and a substring, not by golden bytes
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        ("oracle --m 3 --k 7 --family fig1", "unrecognized arguments: --k 7"),
+        ("adversary --game thm4 --alg 3la1 --k 5", "--game thm4 takes no --n, no --x and no --k other than 1"),
+        ("adversary --game thm4 --alg 3la1 --n 3", "--game thm4 takes no --n, no --x and no --k other than 1"),
+        ("adversary --game thm4 --alg 3la1 --x 9", "--game thm4 takes no --n, no --x and no --k other than 1"),
+        ("simulate --alg ls --m 2 --instance jobs.txt --family fig1", "not allowed with argument"),
+        ("oracle --m 2 --family fig1 --instance jobs.txt", "not allowed with argument"),
+    ],
+)
+def test_cli_refuses_options_it_would_ignore(capsys, argv, message):
+    code, out, err = run(capsys, *shlex.split(argv))
+    assert code == 1
+    assert out == ""
+    assert message in err
+
+
 def test_generate_family_round_trips(capsys):
     code, out, _ = run(capsys, "generate", "--family", "lemma5a")
     assert code == 0
@@ -213,7 +242,8 @@ def test_version(capsys):
 # one at m = 2 (25 jobs from 700..780, a shape no benchmark workload runs),
 # and one trace per lookahead policy whose job 1 misses M1's budget by one
 # unit (3*81 = 243 > 242 and 33*17 = 561 > 560), worse than LS on the same
-# input (206/125 against 33/25) and than any ratio the verify grids reach.
+# input (206/125 against 33/25) and than any ratio the verify grids reach,
+# and a 2la1 run on 3000000,3000000, whose OPT needs the gcd division.
 # Each case's directory under cli_golden/ holds its expected stdout, stderr
 # and exit code, plus every file the command writes; commands run in a
 # scratch directory that holds only copies of the FIXTURES below.
@@ -222,6 +252,7 @@ GOLDEN_COMMANDS = {
     "simulate_file": "simulate --alg ls --m 2 --instance jobs.txt",
     "simulate_2la1_budget": "simulate --alg 2la1 --m 2 --instance la2_budget.txt --trace",
     "simulate_3la1_budget": "simulate --alg 3la1 --m 3 --instance la3_budget.txt --trace",
+    "simulate_2la1_gcd": "simulate --alg 2la1 --m 2 --instance gcd.txt",
     "oracle_thm4": "oracle --m 3 --family thm4:case=1",
     "oracle_lb_infeasible": "oracle --m 3 --instance lb_infeasible.txt",
     "oracle_m2_tight": "oracle --m 2 --instance m2_tight.txt",
@@ -258,7 +289,7 @@ GOLDEN_COMMANDS = {
 # the input files every golden command finds in its scratch directory
 FIXTURES = (
     "jobs.txt", "la2_budget.txt", "la3_budget.txt", "lb_infeasible.txt", "m2_tight.txt",
-    "not_utf8.txt",
+    "not_utf8.txt", "gcd.txt",
 )
 
 

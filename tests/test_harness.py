@@ -5,6 +5,7 @@ from math import comb
 import pytest
 
 import lasched.harness as harness
+from lasched.algorithms import BudgetCascade
 from lasched import (
     CSV_HEADER,
     CapacityExceeded,
@@ -17,12 +18,17 @@ from lasched import (
     format_family_id,
     make_instance,
     named_instance,
+    policy_for,
     report_rows,
     run_one,
     verify_bound,
 )
 
 VALUES_123 = (F(1), F(2), F(3))
+
+# a custom row, not a SchedulerId: M1 within 3/4 of the known work, else M2,
+# and the final job ties to M2
+THETA_3_4 = BudgetCascade(None, 2, 1, ((1, 3, 4),), ties_high=True)
 
 
 def _sweep(scheduler, families, m, k):
@@ -40,6 +46,17 @@ def test_run_one_examples():
 
     row = run_one(SchedulerId.THREE_LA1, named_instance(FamilyId("thm4", "1")), 3, 1)
     assert (row.alg_makespan, row.opt_makespan, row.ratio) == (F(15), F(11), F(15, 11))
+
+
+def test_run_one_holds_the_policy_and_its_trace():
+    row = run_one(SchedulerId.THREE_LA1, named_instance(FamilyId("thm4", "1")), 3, 1)
+    assert row.policy is policy_for(SchedulerId.THREE_LA1)
+    assert row.trace.decisions == (3, 1, 1, 1, 2)
+    assert row.alg_makespan == row.trace.makespan == 15
+    row = run_one(THETA_3_4, make_instance([1, 2, 1]), 2, 1)
+    assert row.policy is THETA_3_4
+    assert row.ratio == F(3, 2)
+    assert emit_csv([row]).splitlines()[1] == 'policy,"1,2,1",2,1,3,2,3/2,1.500000'
 
 
 def test_run_one_rejects_mismatched_machines():
@@ -104,6 +121,20 @@ def test_verify_bound_deterministic_across_worker_counts():
     single = verify_bound(SchedulerId.TWO_LA1, 2, 1, 4, VALUES_123, F(5, 4))
     parallel = verify_bound(SchedulerId.TWO_LA1, 2, 1, 4, VALUES_123, F(5, 4), jobs=4)
     assert single == parallel
+
+
+def test_verify_bound_scores_a_custom_policy_at_any_worker_count():
+    report = verify_bound(THETA_3_4, 2, 1, 4, VALUES_123, F(4, 3))
+    # jobs=2 pickles the policy itself into each worker
+    assert report == verify_bound(THETA_3_4, 2, 1, 4, VALUES_123, F(4, 3), jobs=2)
+    assert report.policy is THETA_3_4
+    assert report.instances_checked == 120
+    assert report.max_ratio == F(3, 2)
+    assert report.argmax_instance.processing_times == (F(1),) * 4
+    assert len(report.violations) == 12
+    rows = report_rows(report)
+    assert all(row.policy is THETA_3_4 for row in rows)
+    assert [row.ratio for row in rows] == [report.max_ratio, *(r for _, r in report.violations)]
 
 
 def _uncached_report(scheduler, m, k, n_max, values, bound):

@@ -96,6 +96,18 @@ def test_capacity_exceeded():
     assert optimal_makespan(instance, 3, state_cap=480).makespan == 77
 
 
+def test_both_oracle_paths_divide_by_the_gcd():
+    # undivided, the m = 2 bitset of 3000000,3000000 would count 9000003 bits
+    instance = make_instance([3_000_000, 3_000_000])
+    assert optimal_makespan_value(instance, 2) == 3_000_000
+    assert optimal_makespan(instance, 2).makespan == 3_000_000
+    # scaled to 6,6,6 over 5, divided to 1,1,1: the unit and the scale both come back
+    fifths = make_instance([F(6, 5)] * 3)
+    for m, opt in ((2, F(12, 5)), (3, F(6, 5))):
+        assert optimal_makespan_value(fifths, m) == opt
+        assert optimal_makespan(fifths, m).makespan == opt
+
+
 def test_witness_search_does_not_recurse_per_job():
     for m in (2, 3):
         result = optimal_makespan(make_instance([1] * 1200), m)
