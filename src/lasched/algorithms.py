@@ -4,9 +4,12 @@ Each policy is a pure function of the current machine loads and the
 lookahead window of the arriving job, stored as one row of data for a
 single budget-cascade rule.  A window with an empty future marks the final
 job, which all policies send to a least-loaded machine.  Every admission
-inequality is homogeneous, so it is compared as integers: the loads and
-the window are scaled once per call over their common denominator, and the
-equality cases admit exactly.
+inequality is homogeneous, so ``run_policy`` scales each instance to
+integers once, over the common denominator of its processing times, and
+drives a budget cascade's ``choose`` on integer loads and windows, where
+every comparison, ties included, keeps its truth value.  Any other policy
+sees the Fractions.  A trace stores the decisions and the integer loads,
+and builds its Fractions on read.
 """
 
 from __future__ import annotations
@@ -45,23 +48,45 @@ class DecisionRecord:
     loads: tuple[Rational, ...]
 
 
+def _windows(times: tuple, lookahead: int):
+    """Each job's lookahead window in turn: its own time and the next few."""
+    return (LookaheadWindow(p, times[i : i + lookahead]) for i, p in enumerate(times, 1))
+
+
 @dataclass(frozen=True)
 class DecisionTrace:
-    """One policy run over a non-empty instance: a record per job, in order."""
+    """One policy run over a non-empty instance, stored as its decisions.
 
-    records: tuple[DecisionRecord, ...]
+    It keeps the processing times and the lookahead of the run, the machine
+    chosen for each job, and the final loads as integers over ``scale``, the
+    lcm of the times' denominators.  ``loads``, ``makespan`` and ``records``
+    are built as Fractions on each read; ``records`` replays the windows
+    through the helper ``run_policy`` drives the policy with, so each record
+    holds what was revealed at that step, in the instance's own units.
+    """
 
-    @property
-    def decisions(self) -> tuple[int, ...]:
-        return tuple(record.machine for record in self.records)
+    times: tuple[Rational, ...]
+    lookahead: int
+    decisions: tuple[int, ...]
+    scaled_loads: tuple[int, ...]
+    scale: int
 
     @property
     def loads(self) -> tuple[Rational, ...]:
-        return self.records[-1].loads
+        return tuple(Fraction(load, self.scale) for load in self.scaled_loads)
 
     @property
     def makespan(self) -> Rational:
-        return max(self.loads)
+        return Fraction(max(self.scaled_loads), self.scale)
+
+    @property
+    def records(self) -> tuple[DecisionRecord, ...]:
+        loads = [Fraction(0)] * len(self.scaled_loads)
+        records = []
+        for window, machine in zip(_windows(self.times, self.lookahead), self.decisions):
+            loads[machine - 1] += window.current
+            records.append(DecisionRecord(window, machine, tuple(loads)))
+        return tuple(records)
 
 
 class OnlinePolicy(Protocol):
@@ -81,12 +106,12 @@ class BudgetCascade:
     A job with a visible next job goes to machine j of the first budget row
     (j, a, b) with b*(l_j + p_i) <= a*(l_1 + ... + l_m + p_i + p_{i+1}),
     i.e. whose new load stays within a/b of all work known so far (ties
-    admit); if no row admits it, it goes to the last machine.  The rows are
-    tested on the loads, p_i and p_{i+1} scaled to integers over their
-    common denominator.  Every other job goes to a least-loaded machine,
-    found on the Fractions, ties to the lowest index, or to the highest if
-    ``ties_high`` is set.  Not frozen, so a tracer can wrap ``choose`` on
-    the instance.
+    admit); if no row admits it, it goes to the last machine.  Every other
+    job goes to a least-loaded machine, ties to the lowest index, or to the
+    highest if ``ties_high`` is set.  Every test is exact on integers and on
+    Fractions alike, and homogeneous, so ``run_policy`` drives it on the
+    instance scaled to integers.  Not frozen, so a tracer can wrap
+    ``choose`` on the instance.
     """
 
     scheduler_id: SchedulerId | None
@@ -97,14 +122,10 @@ class BudgetCascade:
 
     def choose(self, loads: tuple[Rational, ...], window: LookaheadWindow) -> int:
         if self.budgets and window.future:
-            # each row is homogeneous, so it holds on the values scaled to
-            # integers over their common denominator exactly when it holds on
-            # the Fractions, ties included
-            ints = scaled_ints((*loads, window.current, window.future[0]))[0]
-            p = ints[-2]
-            known = sum(ints)
+            p = window.current
+            known = sum(loads) + p + window.future[0]
             for machine, a, b in self.budgets:
-                if b * (ints[machine - 1] + p) <= a * known:
+                if b * (loads[machine - 1] + p) <= a * known:
                     return machine
             return len(loads)
         # a plain scan, not min() with a key: it costs about half as much
@@ -159,19 +180,28 @@ def run_policy(
     """Drive a policy over an instance under the revelation contract.
 
     The policy only ever sees the loads and the k-lookahead window of the
-    arriving job; the trace records exactly that, so tests can replay it.
+    arriving job; the trace replays exactly that, so tests can check it.
     A lookahead of 0 (the LS baseline) gives every window an empty future.
+    The instance is scaled to integers once; a ``BudgetCascade`` sees the
+    integers (scaling by values not yet revealed cannot change its choice,
+    which does not depend on the unit), any other policy the Fractions.
     """
     check_policy(policy, machine_count, lookahead)
     times = instance.processing_times
-    loads = [Fraction(0)] * machine_count
-    records = []
-    for i, p in enumerate(times, 1):
-        window = LookaheadWindow(p, times[i : i + lookahead])
-        machine = policy.choose(tuple(loads), window)
-        loads[machine - 1] += p
-        records.append(DecisionRecord(window, machine, tuple(loads)))
-    return DecisionTrace(tuple(records))
+    ints, scale = scaled_ints(times)
+    if isinstance(policy, BudgetCascade):
+        seen, loads = tuple(ints), [0] * machine_count
+    else:
+        seen, loads = times, [Fraction(0)] * machine_count
+    choose = policy.choose
+    decisions = []
+    for window in _windows(seen, lookahead):
+        machine = choose(tuple(loads), window)
+        loads[machine - 1] += window.current
+        decisions.append(machine)
+    if seen is times:  # the Fraction path: scale its final loads
+        loads = [int(load * scale) for load in loads]
+    return DecisionTrace(times, lookahead, tuple(decisions), tuple(loads), scale)
 
 
 def ls_schedule(instance: Instance, machine_count: int) -> DecisionTrace:

@@ -14,11 +14,12 @@ bound of bin-packing branch and bound (Martello and Toth, Knapsack Problems,
 1990, ch. 8), where room below the smallest job still to come is wasted.
 Waste is at most m*(p - 1) for that smallest job p, so the check runs only
 at depths where that exceeds the slack, and unit jobs skip it.  The value
-paths are a subset-sum bitset for m = 2 and, for every m >= 3, a layered
-reachable-load DP over load tuples, each kept sorted because the machines
-are identical.  Sending the m >= 3 value through the search waits for the
-benchmark fix of ROADMAP item 1.  Every table is bounded by ``state_cap``.
-The tests check both paths against a pure m^n brute force.
+paths are a subset-sum bitset for m = 2 (past ``state_cap``, the search)
+and, for every m >= 3, a layered reachable-load DP over load tuples, each
+kept sorted because the machines are identical.  Sending the m >= 3 value
+through the search waits for the benchmark fix of ROADMAP item 1.  Every
+table is bounded by ``state_cap``.  The tests check both paths against a
+pure m^n brute force.
 """
 
 from __future__ import annotations
@@ -39,8 +40,8 @@ class CapacityExceeded(SchedulingError):
     """A DP table would exceed its size bound, ``state_cap``.
 
     The m = 2 value bitset counts its bits over all its layers, one bit per
-    M1 load from 0 to the work shifted in so far; past the cap the m = 2
-    witness search falls back to its lower-bound probe instead of raising.
+    M1 load from 0 to the work shifted in so far; past the cap both m = 2
+    paths fall back to the witness search instead of raising.
     For m >= 3 the value path's DP counts the load tuples of all its layers
     together.  For every m >= 2 the witness search counts the dead-end load
     tuples it stores, summed over every cap it probes; children cut by the
@@ -134,8 +135,21 @@ def _lpt_makespan(ints: list[int], m: int) -> int:
     return max(loads)
 
 
-def _witness_search(ints: list[int], m: int, state_cap: int) -> tuple[int, list[int]]:
-    """Smallest feasible cap between the lower bound and LPT, and its smallest witness."""
+def _two_machine_value(ints: list[int], state_cap: int) -> int | None:
+    """The m = 2 optimum from the subset-sum bitset, or None if it would pass ``state_cap``."""
+    try:
+        return _dp_two(ints, state_cap)
+    except CapacityExceeded:
+        return None
+
+
+def _witness_search(
+    ints: list[int], m: int, state_cap: int, optimum: int | None = None
+) -> tuple[int, list[int]]:
+    """Smallest feasible cap between the lower bound and LPT, and its smallest witness.
+
+    A known ``optimum`` is probed first in place of the lower bound.
+    """
     check_machine_count(m)
     n = len(ints)
     total = sum(ints)
@@ -194,17 +208,11 @@ def _witness_search(ints: list[int], m: int, state_cap: int) -> tuple[int, list[
             j += 1
         return [j + 1 for j in machines]
 
-    # at m = 2 the bitset gives the optimum, so one probe finds the witness;
-    # otherwise, or if the bitset would pass state_cap, probe the lower bound
-    # first; only if it fails, bisect up to LPT, with every cap <= low
-    # infeasible and high feasible, best its witness if probed; the LPT cap
-    # itself is probed only if no lower cap is feasible
-    low = max(max(ints), -(-total // m))
-    if m == 2:
-        try:
-            low = _dp_two(ints, state_cap)
-        except CapacityExceeded:
-            pass
+    # given the optimum, one probe finds the witness; otherwise probe the
+    # lower bound first; only if it fails, bisect up to LPT, with every cap
+    # <= low infeasible and high feasible, best its witness if probed; the
+    # LPT cap itself is probed only if no lower cap is feasible
+    low = optimum or max(max(ints), -(-total // m))
     machines = probe(low)
     if machines is not None:
         return low, machines
@@ -234,10 +242,18 @@ def _coprime_ints(instance: Instance) -> tuple[list[int], int, int]:
 def optimal_makespan_value(
     instance: Instance, machine_count: int, *, state_cap: int = DEFAULT_STATE_CAP
 ) -> Rational:
-    """Exact minimum makespan without witness reconstruction (fast path)."""
+    """Exact minimum makespan without witness reconstruction (fast path).
+
+    At m = 2 the subset-sum bitset answers; if it would pass ``state_cap``,
+    the witness search does, so both m = 2 paths answer the same instances.
+    """
     ints, unit, scale = _coprime_ints(instance)
     if machine_count == 2:
-        best = _dp_two(ints, state_cap)
+        best = _two_machine_value(ints, state_cap)
+        if best is None:
+            # the search's lower-bound probe may still answer, as it does
+            # for the witness; if it cannot, the search raises in turn
+            best = _witness_search(ints, 2, state_cap)[0]
     else:
         best = _dp_sorted(ints, machine_count, state_cap)
     return Fraction(best * unit, scale)
@@ -269,7 +285,8 @@ def optimal_makespan(
     assignments in lexicographic order returns.
     """
     ints, unit, scale = _coprime_ints(instance)
-    best, machines = _witness_search(ints, machine_count, state_cap)
+    optimum = _two_machine_value(ints, state_cap) if machine_count == 2 else None
+    best, machines = _witness_search(ints, machine_count, state_cap, optimum)
     return OptResult(Fraction(best * unit, scale), {i: m for i, m in enumerate(machines, 1)})
 
 

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from lasched import (
+    DecisionRecord,
     LookaheadWindow,
     SchedulerId,
     enumerate_instances,
@@ -14,6 +15,7 @@ from lasched import (
     three_la1_schedule,
     two_la1_schedule,
 )
+from lasched.algorithms import BudgetCascade
 from reference_policies import reference_choose, three_la1_admit, two_la1_admit
 
 positive_fractions = st.fractions(min_value=F(1, 6), max_value=6, max_denominator=6)
@@ -203,6 +205,83 @@ def test_choose_matches_reference_on_large_denominators(scheduler, loads, p, q):
     assert policy_for(scheduler).choose(loads, window) == reference_choose(
         scheduler, loads, window
     )
+
+
+@pytest.mark.parametrize("scheduler,m,k", SCHEDULERS)
+@settings(max_examples=50)
+@given(times=st.lists(st.one_of(large_fractions(1), positive_fractions), min_size=1, max_size=8))
+def test_integer_run_matches_fraction_replay(scheduler, m, k, times):
+    # run_policy drives every built-in row on the instance scaled to integers
+    # over a common denominator of dozens of digits; the reference replays the
+    # same instance on the Fractions, and the trace must read back the same
+    trace = run_policy(make_instance(times), policy_for(scheduler), m, k)
+    loads = (F(0),) * m
+    records = []
+    for i, p in enumerate(times, 1):
+        window = LookaheadWindow(p, tuple(times[i : i + k]))
+        machine = reference_choose(scheduler, loads, window)
+        loads = tuple(load + p if j == machine else load for j, load in enumerate(loads, 1))
+        records.append(DecisionRecord(window, machine, loads))
+    assert trace.decisions == tuple(record.machine for record in records)
+    assert trace.records == tuple(records)
+    assert trace.loads == loads
+    assert trace.makespan == max(loads)
+
+
+def test_a_budget_cascade_sees_the_instance_scaled_once():
+    # a copy of the 3la1 row, whose choose is wrapped on the instance
+    policy = BudgetCascade(None, 3, 1, policy_for(SchedulerId.THREE_LA1).budgets)
+    seen = []
+
+    def choose(loads, window):
+        seen.append((loads, window))
+        return BudgetCascade.choose(policy, loads, window)
+
+    policy.choose = choose
+    trace = run_policy(make_instance([F(7, 2), 2, F(1, 3)]), policy, 3, 1)
+    # scaled by 6: 21, 12, 2
+    assert seen == [
+        ((0, 0, 0), LookaheadWindow(21, (12,))),
+        ((0, 0, 21), LookaheadWindow(12, (2,))),
+        ((12, 0, 21), LookaheadWindow(2, ())),
+    ]
+    assert all(type(value) is int for loads, _ in seen for value in loads)
+    assert trace.loads == (F(2), F(1, 3), F(7, 2))
+
+
+class LoadConstant:
+    """A counter-policy to the thm4 game: M1 at total load 0 or 7, M2 at 11
+    or 15, else a least-loaded machine.  It compares loads with fixed
+    constants, so scaling the instance would change its choices; it is not
+    a BudgetCascade, so it sees the Fractions."""
+
+    scheduler_id = None
+    machine_count = 3
+    min_lookahead = 1
+
+    def __init__(self):
+        self.seen = []
+
+    def choose(self, loads, window):
+        self.seen.append(loads)
+        total = sum(loads)
+        if total in (0, 7):
+            return 1
+        if total in (11, 15):
+            return 2
+        return min(range(len(loads)), key=loads.__getitem__) + 1
+
+
+def test_any_other_policy_sees_the_fractions():
+    policy = LoadConstant()
+    assert run_policy(make_instance([7, 4, 4, 7, 11]), policy, 3, 1).decisions == (1, 1, 2, 2, 3)
+    # halved, the totals 0, 7/2, 11/2, 15/2, 11 meet the constants only at 0
+    # and 11; scaled back to integers it would play 1, 1, 2, 2, 3 again
+    policy = LoadConstant()
+    trace = run_policy(make_instance([F(7, 2), 2, 2, F(7, 2), F(11, 2)]), policy, 3, 1)
+    assert trace.decisions == (1, 2, 3, 2, 2)
+    assert trace.loads == (F(7, 2), F(11), F(2))
+    assert all(type(value) is F for loads in policy.seen for value in loads)
 
 
 @pytest.mark.parametrize("scheduler,m,k", SCHEDULERS)

@@ -243,7 +243,11 @@ def test_version(capsys):
 # and one trace per lookahead policy whose job 1 misses M1's budget by one
 # unit (3*81 = 243 > 242 and 33*17 = 561 > 560), worse than LS on the same
 # input (206/125 against 33/25) and than any ratio the verify grids reach,
-# and a 2la1 run on 3000000,3000000, whose OPT needs the gcd division.
+# a 2la1 run on 3000000,3000000, whose OPT needs the gcd division, one on
+# the coprime 3000001,3000000, whose OPT comes from the search's lower-bound
+# probe because the m = 2 bitset would pass its cap, and a 3la1 trace on a
+# fractional instance, whose records are built on read from a run on the
+# instance scaled to integers.
 # Each case's directory under cli_golden/ holds its expected stdout, stderr
 # and exit code, plus every file the command writes; commands run in a
 # scratch directory that holds only copies of the FIXTURES below.
@@ -253,6 +257,8 @@ GOLDEN_COMMANDS = {
     "simulate_2la1_budget": "simulate --alg 2la1 --m 2 --instance la2_budget.txt --trace",
     "simulate_3la1_budget": "simulate --alg 3la1 --m 3 --instance la3_budget.txt --trace",
     "simulate_2la1_gcd": "simulate --alg 2la1 --m 2 --instance gcd.txt",
+    "simulate_2la1_coprime": "simulate --alg 2la1 --m 2 --instance coprime.txt",
+    "simulate_3la1_fraction_trace": "simulate --alg 3la1 --m 3 --instance jobs.txt --trace",
     "oracle_thm4": "oracle --m 3 --family thm4:case=1",
     "oracle_lb_infeasible": "oracle --m 3 --instance lb_infeasible.txt",
     "oracle_m2_tight": "oracle --m 2 --instance m2_tight.txt",
@@ -289,7 +295,7 @@ GOLDEN_COMMANDS = {
 # the input files every golden command finds in its scratch directory
 FIXTURES = (
     "jobs.txt", "la2_budget.txt", "la3_budget.txt", "lb_infeasible.txt", "m2_tight.txt",
-    "not_utf8.txt", "gcd.txt",
+    "not_utf8.txt", "gcd.txt", "coprime.txt",
 )
 
 

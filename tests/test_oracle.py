@@ -73,17 +73,25 @@ def test_capacity_exceeded():
     # the m = 2 bitset shifts ten unit jobs in as the parts 1, 2, 3, 4:
     # layers of 1, 2, 4, 7 and 11 bits, 25 in all
     with pytest.raises(CapacityExceeded, match="past 24 states"):
-        optimal_makespan_value(make_instance([1] * 10), 2, state_cap=24)
-    assert optimal_makespan_value(make_instance([1] * 10), 2, state_cap=25) == 5
+        oracle._dp_two([1] * 10, state_cap=24)
+    assert oracle._dp_two([1] * 10, state_cap=25) == 5
     # 3000 distinct times: the last layer fits in the cap, all layers do not,
     # so the bitset raises before it shifts anything
     with pytest.raises(CapacityExceeded, match="past 5000000 states"):
-        optimal_makespan_value(make_instance(range(1, 3001)), 2)
-    # the m = 2 witness search falls back to the lower-bound probe when the
-    # bitset would pass the cap
-    with pytest.raises(CapacityExceeded):
-        optimal_makespan_value(make_instance(range(1, 1001)), 2)
-    assert optimal_makespan(make_instance(range(1, 1001)), 2).makespan == 250250
+        oracle._dp_two(list(range(1, 3001)), state_cap=5_000_000)
+    # past the bitset's cap both m = 2 paths fall back to the search's
+    # lower-bound probe, so the value path answers what the witness path does
+    for times in (range(1, 1001), range(1, 3001)):
+        instance = make_instance(times)
+        assert optimal_makespan_value(instance, 2) == optimal_makespan(instance, 2).makespan
+    assert optimal_makespan_value(make_instance([1] * 10), 2, state_cap=24) == 5
+    # 25 jobs from 700..780: the bitset passes 100000 bits and the lower bound
+    # is infeasible, so the value path raises only once the search's dead ends
+    # pass the cap as well
+    m2_tight = parse_instance_text((GOLDEN / "m2_tight.txt").read_text())
+    with pytest.raises(CapacityExceeded, match="past 10000 states"):
+        optimal_makespan_value(m2_tight, 2, state_cap=10_000)
+    assert optimal_makespan_value(m2_tight, 2, state_cap=100_000) == 9294
     with pytest.raises(CapacityExceeded):
         exhaustive_optimal_makespan(make_instance([1] * 13), 5)
     # the witness search stores 480 dead-end load tuples on oracle-mix's
@@ -94,6 +102,18 @@ def test_capacity_exceeded():
     with pytest.raises(CapacityExceeded, match="past 479 states"):
         optimal_makespan(instance, 3, state_cap=479)
     assert optimal_makespan(instance, 3, state_cap=480).makespan == 77
+
+
+def test_m2_paths_run_the_bitset_at_most_once(monkeypatch):
+    dp_two = oracle._dp_two
+    calls = []
+    monkeypatch.setattr(oracle, "_dp_two", lambda ints, cap: calls.append(cap) or dp_two(ints, cap))
+    instance = make_instance([1] * 10)
+    for path in (optimal_makespan_value, lambda *a, **kw: optimal_makespan(*a, **kw).makespan):
+        for cap in (24, 25):
+            calls.clear()
+            assert path(instance, 2, state_cap=cap) == 5
+            assert calls == [cap]
 
 
 def test_both_oracle_paths_divide_by_the_gcd():
