@@ -19,7 +19,7 @@ from collections.abc import Iterable, Iterator, Sequence
 from .algorithms import (
     DecisionTrace, OnlinePolicy, SchedulerId, check_policy, policy_for, policy_name, run_policy,
 )
-from .core import Instance, InvalidParam, Rational, make_instance
+from .core import Instance, InvalidParam, Rational, make_instance, scaled_ints
 from .oracle import CapacityExceeded, competitive_ratio, optimal_makespan_value
 
 CSV_HEADER = ("scheduler", "instance", "m", "k", "alg_makespan", "opt_makespan", "ratio", "ratio_decimal")
@@ -64,9 +64,19 @@ def run_one(
     policy: SchedulerId | OnlinePolicy, instance: Instance, m: int, k: int, label: str | None = None
 ) -> ExperimentRow:
     """Run a policy once on one instance and score it against the oracle."""
-    policy = policy_for(policy)
+    return _scored(policy_for(policy), instance, m, k, label, {})
+
+
+def _scored(
+    policy: OnlinePolicy, instance: Instance, m: int, k: int, label: str | None, opts: dict
+) -> ExperimentRow:
+    """run_one's row, with OPT looked up in opts by sorted multiset and
+    computed only on a miss, so rows that share opts share their oracle calls."""
     trace = run_policy(instance, policy, m, k)
-    opt = optimal_makespan_value(instance, m)
+    key = tuple(sorted(instance.processing_times))
+    opt = opts.get(key)
+    if opt is None:
+        opt = opts[key] = optimal_makespan_value(instance, m)
     return ExperimentRow(
         policy=policy,
         instance_label=label if label is not None else inline_label(instance.processing_times),
@@ -89,6 +99,12 @@ def _check_values(values: Sequence[Rational]) -> tuple[Rational, ...]:
     return values
 
 
+def _grid(n: int, values: Sequence, start: int, stop: int | None) -> Iterator[tuple]:
+    """The length-n tuples over values in lexicographic order of value
+    indices, restricted to the index range [start, stop)."""
+    return islice(product(values, repeat=n), start, stop)
+
+
 def enumerate_instances(
     n: int, values: Sequence[Rational], start: int = 0, stop: int | None = None
 ) -> Iterator[Instance]:
@@ -97,9 +113,11 @@ def enumerate_instances(
     can be chunked and restarted."""
     if n < 1:
         raise InvalidParam(f"instance length must be >= 1, got {n}")
-    values = _check_values(values)
-    for times in islice(product(values, repeat=n), start, stop):
-        yield make_instance(times)
+    # one make_instance validates the grid and makes it Fractions, so its
+    # tuples become Instances without validating each one
+    values = make_instance(_check_values(values)).processing_times
+    for times in _grid(n, values, start, stop):
+        yield Instance(times)
 
 
 def _scan_chunk(
@@ -114,36 +132,50 @@ def _scan_chunk(
 ):
     """Score one contiguous index range of the length-n enumeration.
 
-    OPT depends only on the multiset of processing times, so it is computed
-    once per sorted multiset in the chunk, always on the sorted order: a
-    capacity error then depends on the multiset alone, never on which
-    ordering the chunk met first.
+    One make_instance makes the grid verify_bound checked Fractions, and
+    the chunk scales it once to integers over the lcm of its denominators,
+    then walks the Fraction tuples and their scaled integer tuples side by
+    side.  Each instance runs through ``run_policy``, so a policy sees it as
+    that call chooses, and its makespan is read in grid units from the
+    trace's integer loads.  OPT depends only on the multiset of processing
+    times, so it is computed once per sorted integer tuple in the chunk,
+    always on the sorted order: the oracle divides by the gcd, so a capacity
+    error depends on the multiset alone, never on which ordering the chunk
+    met first.  Ratios are compared with each other and with the bound by
+    cross-multiplying integers, and ordering integer tuples orders the
+    instances by value, as scaling keeps order.
 
     Returns (checked, best, violations), where best is the least
     (-ratio, times) pair: the largest ratio, ties broken towards the
-    lexicographically smallest instance.  Picklable arguments only (a
-    BudgetCascade pickles), so verification can fan out across processes.
+    lexicographically smallest instance.  Only these are Fractions.
+    Picklable arguments only (a BudgetCascade pickles), so verification can
+    fan out across processes.
     """
-    best: tuple[Rational, tuple[Rational, ...]] | None = None
+    values = make_instance(values).processing_times
+    ints, scale = scaled_ints(values)
+    over, under = bound.numerator, bound.denominator
+    # 0/1 is below every ratio, so the first instance always replaces it
+    best_alg, best_opt, best_ints, best_times = 0, 1, None, None
     violations: list[tuple[tuple[Rational, ...], Rational]] = []
-    opts: dict[tuple[Rational, ...], Rational] = {}
-    for instance in enumerate_instances(n, values, start, stop):
-        times = instance.processing_times
-        key = tuple(sorted(times))
+    opts: dict[tuple[int, ...], int] = {}
+    for times, units in zip(_grid(n, values, start, stop), _grid(n, ints, start, stop)):
+        key = tuple(sorted(units))
         try:
-            alg = run_policy(instance, policy, m, k).makespan
+            trace = run_policy(Instance(times), policy, m, k)
             opt = opts.get(key)
             if opt is None:
-                opt = opts[key] = optimal_makespan_value(make_instance(key), m)
+                value = optimal_makespan_value(Instance(tuple(sorted(times))), m)
+                opt = opts[key] = value.numerator * (scale // value.denominator)
         except CapacityExceeded as exc:
             raise CapacityExceeded(f"{exc} (instance {inline_label(times)})") from exc
-        ratio = competitive_ratio(alg, opt)
-        candidate = (-ratio, times)
-        if best is None or candidate < best:
-            best = candidate
-        if ratio > bound:
-            violations.append((times, ratio))
-    return stop - start, best, violations
+        alg = max(trace.scaled_loads) * (scale // trace.scale)
+        # alg/opt and best_alg/best_opt, both multiplied by opt * best_opt
+        this, best = alg * best_opt, best_alg * opt
+        if this > best or (this == best and units < best_ints):
+            best_alg, best_opt, best_ints, best_times = alg, opt, units, times
+        if under * alg > over * opt:
+            violations.append((times, Fraction(alg, opt)))
+    return stop - start, (-Fraction(best_alg, best_opt), best_times), violations
 
 
 def verify_bound(
@@ -172,6 +204,7 @@ def verify_bound(
     values = _check_values(values)
     if target_bound < 1:
         raise InvalidParam(f"target bound must be >= 1, got {target_bound}")
+    target_bound = Fraction(target_bound)
     if jobs < 1:
         raise InvalidParam(f"worker count must be >= 1, got {jobs}")
 
@@ -205,14 +238,16 @@ def verify_bound(
         max_ratio=-neg_ratio,
         argmax_instance=make_instance(best_values),
         violations=tuple((make_instance(v), r) for _, _, found in results for v, r in found),
-        target_bound=Fraction(target_bound),
+        target_bound=target_bound,
     )
 
 
 def report_rows(report: VerificationReport) -> list[ExperimentRow]:
-    """Flatten a report into rows, each scored by run_one: the argmax instance, then each violation."""
+    """Flatten a report into rows, each scored as run_one scores it: the argmax
+    instance, then each violation; rows of one multiset share one oracle call."""
     instances = (report.argmax_instance, *(instance for instance, _ in report.violations))
-    return [run_one(report.policy, instance, report.m, report.k) for instance in instances]
+    opts: dict = {}
+    return [_scored(report.policy, instance, report.m, report.k, None, opts) for instance in instances]
 
 
 def emit_csv(rows: Iterable[ExperimentRow]) -> str:

@@ -2,7 +2,8 @@
 
 The library stores every policy as one row of budget-cascade data; these
 functions spell out the same rules separately, with the constants inline,
-so the tests can check each row's ``choose`` against them.
+so the tests can check each row's ``choose`` against them.  ``LoadConstant``
+is a policy outside the cascade, for the tests of the Fraction path.
 """
 
 from lasched import LookaheadWindow, Rational, SchedulerId
@@ -44,3 +45,26 @@ def reference_choose(
     if scheduler is SchedulerId.THREE_LA1 and window.future:
         return three_la1_admit(*loads, window.current, window.future[0])
     return least_loaded(loads)
+
+
+class LoadConstant:
+    """A counter-policy to the thm4 game: M1 at total load 0 or 7, M2 at 11
+    or 15, else a least-loaded machine.  It compares loads with fixed
+    constants, so scaling the instance would change its choices; it is not
+    a BudgetCascade, so it sees the Fractions."""
+
+    scheduler_id = None
+    machine_count = 3
+    min_lookahead = 1
+
+    def __init__(self):
+        self.seen = []
+
+    def choose(self, loads, window):
+        self.seen.append(loads)
+        total = sum(loads)
+        if total in (0, 7):
+            return 1
+        if total in (11, 15):
+            return 2
+        return min(range(len(loads)), key=loads.__getitem__) + 1

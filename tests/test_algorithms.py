@@ -16,7 +16,7 @@ from lasched import (
     two_la1_schedule,
 )
 from lasched.algorithms import BudgetCascade
-from reference_policies import reference_choose, three_la1_admit, two_la1_admit
+from reference_policies import LoadConstant, reference_choose, three_la1_admit, two_la1_admit
 
 positive_fractions = st.fractions(min_value=F(1, 6), max_value=6, max_denominator=6)
 instances = st.lists(positive_fractions, min_size=1, max_size=8).map(make_instance)
@@ -247,29 +247,6 @@ def test_a_budget_cascade_sees_the_instance_scaled_once():
     ]
     assert all(type(value) is int for loads, _ in seen for value in loads)
     assert trace.loads == (F(2), F(1, 3), F(7, 2))
-
-
-class LoadConstant:
-    """A counter-policy to the thm4 game: M1 at total load 0 or 7, M2 at 11
-    or 15, else a least-loaded machine.  It compares loads with fixed
-    constants, so scaling the instance would change its choices; it is not
-    a BudgetCascade, so it sees the Fractions."""
-
-    scheduler_id = None
-    machine_count = 3
-    min_lookahead = 1
-
-    def __init__(self):
-        self.seen = []
-
-    def choose(self, loads, window):
-        self.seen.append(loads)
-        total = sum(loads)
-        if total in (0, 7):
-            return 1
-        if total in (11, 15):
-            return 2
-        return min(range(len(loads)), key=loads.__getitem__) + 1
 
 
 def test_any_other_policy_sees_the_fractions():

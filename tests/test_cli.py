@@ -247,7 +247,9 @@ def test_version(capsys):
 # the coprime 3000001,3000000, whose OPT comes from the search's lower-bound
 # probe because the m = 2 bitset would pass its cap, and a 3la1 trace on a
 # fractional instance, whose records are built on read from a run on the
-# instance scaled to integers.
+# instance scaled to integers, and a 3la1 verify through the process pool on
+# a descending, non-integer grid, whose scan scores in grid units and must
+# unscale its ratios and break ties by value.
 # Each case's directory under cli_golden/ holds its expected stdout, stderr
 # and exit code, plus every file the command writes; commands run in a
 # scratch directory that holds only copies of the FIXTURES below.
@@ -265,6 +267,7 @@ GOLDEN_COMMANDS = {
     "verify_2la1_n7": "verify --alg 2la1 --m 2 --k 1 --nmax 7 --values 1,2,3 --bound 4/3",
     "verify_2la1_n5": "verify --alg 2la1 --m 2 --k 1 --nmax 5 --values 1,2,3,4,5,6 --bound 4/3",
     "verify_3la1_n6": "verify --alg 3la1 --m 3 --k 1 --nmax 6 --values 1,2,3 --bound 16/11",
+    "verify_3la1_fractional": "verify --alg 3la1 --m 3 --k 1 --nmax 5 --values 3/2,1,1/2 --bound 16/11 --jobs 2",
     "adversary_thm1": "adversary --game thm1 --alg ls --n 100 --k 1 --x 1",
     "adversary_thm4": "adversary --game thm4 --alg 3la1",
     "generate_family": "generate --family lemma6:x=1 --output units33.txt",

@@ -6,6 +6,7 @@ import pytest
 
 import lasched.harness as harness
 from lasched.algorithms import BudgetCascade
+from reference_policies import LoadConstant
 from lasched import (
     CSV_HEADER,
     CapacityExceeded,
@@ -162,6 +163,10 @@ def _uncached_report(scheduler, m, k, n_max, values, bound):
         (SchedulerId.TWO_LA1, 2, 1, (F(1, 2), F(1), F(3, 2)), F(5, 4)),
         # descending: ties break by value, not by the order the scan meets them
         (SchedulerId.THREE_LA1, 3, 1, (F(3), F(2), F(1)), F(16, 11)),
+        (THETA_3_4, 2, 1, VALUES_123, F(4, 3)),
+        # not a BudgetCascade, and the grid's scale is 2: the scan must run it
+        # on the Fractions, where its load constants mean what they say
+        (LoadConstant(), 3, 1, (F(7, 2), F(4), F(7), F(11)), F(4, 3)),
     ],
 )
 def test_verify_bound_equals_uncached_reference(scheduler, m, k, values, bound, jobs):
@@ -172,6 +177,22 @@ def test_verify_bound_equals_uncached_reference(scheduler, m, k, values, bound, 
     assert report.max_ratio == best_ratio
     assert report.argmax_instance.processing_times == best_times
     assert [(inst.processing_times, r) for inst, r in report.violations] == violations
+
+
+def test_verify_bound_runs_each_instance_through_the_module_run_policy(monkeypatch):
+    # the benchmark's tracer wraps harness.run_policy; the scan must reach
+    # every policy run through that attribute
+    run_policy = harness.run_policy
+    calls = []
+
+    def counted(instance, policy, m, k):
+        calls.append(instance.processing_times)
+        return run_policy(instance, policy, m, k)
+
+    monkeypatch.setattr(harness, "run_policy", counted)
+    report = verify_bound(SchedulerId.THREE_LA1, 3, 1, 4, VALUES_123, F(16, 11), jobs=1)
+    assert len(calls) == report.instances_checked == 3 + 9 + 27 + 81
+    assert len(set(calls)) == len(calls)
 
 
 def test_verify_bound_calls_the_oracle_once_per_multiset(monkeypatch):
@@ -318,3 +339,21 @@ def test_emit_csv_accepts_report():
     lines = emit_csv(report_rows(report)).splitlines()
     # argmax row first, then one row per violation
     assert len(lines) == 1 + 1 + len(report.violations)
+
+
+def test_report_rows_call_the_oracle_once_per_multiset(monkeypatch):
+    report = verify_bound(SchedulerId.THREE_LA1, 3, 1, 6, VALUES_123, F(16, 11))
+    instances = [report.argmax_instance, *(instance for instance, _ in report.violations)]
+    expected = [run_one(report.policy, instance, 3, 1) for instance in instances]
+    oracle = harness.optimal_makespan_value
+    seen = []
+
+    def counted(instance, m):
+        seen.append(tuple(sorted(instance.processing_times)))
+        return oracle(instance, m)
+
+    monkeypatch.setattr(harness, "optimal_makespan_value", counted)
+    assert report_rows(report) == expected
+    # eleven rows (the argmax 1,2,2,1,3 is also a violation) over four
+    # multisets: 1122, 11112, 11223 and 111333
+    assert len(seen) == len(set(seen)) == 4 < len(expected) == 11
