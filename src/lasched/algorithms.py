@@ -4,16 +4,20 @@ Each policy is a pure function of the current machine loads and the
 lookahead window of the arriving job, stored as one row of data for a
 single budget-cascade rule.  A window with an empty future marks the final
 job, which all policies send to a least-loaded machine.  Every admission
-inequality is homogeneous, so ``run_policy`` scales each instance to
-integers once, over the common denominator of its processing times, and
-drives a budget cascade's ``choose`` on integer loads and windows, where
-every comparison, ties included, keeps its truth value.  Any other policy
-sees the Fractions.  A trace stores the decisions and the integer loads,
-and builds its Fractions on read.
+inequality is homogeneous, so a budget cascade's ``choose`` is driven on
+the instance scaled to integers over the common denominator of its
+processing times, where every comparison, ties included, keeps its truth
+value; any other policy sees the Fractions (``_policy_view`` makes that
+choice).  One loop, ``_drive``, makes the decisions: it runs the steps after
+a stored load state and records the loads after each step, so
+``run_policy`` runs it from the start and the verify scan resumes it where
+an instance stops sharing its prefix with the one before.  A trace stores
+the decisions and the integer loads, and builds its Fractions on read.
 """
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -48,9 +52,10 @@ class DecisionRecord:
     loads: tuple[Rational, ...]
 
 
-def _windows(times: tuple, lookahead: int):
-    """Each job's lookahead window in turn: its own time and the next few."""
-    return (LookaheadWindow(p, times[i : i + lookahead]) for i, p in enumerate(times, 1))
+def _windows(times: tuple, lookahead: int, start: int = 0):
+    """Each job's lookahead window in turn, from job start + 1 on: its own
+    time and the next few."""
+    return (LookaheadWindow(times[i], times[i + 1 : i + 1 + lookahead]) for i in range(start, len(times)))
 
 
 @dataclass(frozen=True)
@@ -61,7 +66,7 @@ class DecisionTrace:
     chosen for each job, and the final loads as integers over ``scale``, the
     lcm of the times' denominators.  ``loads``, ``makespan`` and ``records``
     are built as Fractions on each read; ``records`` replays the windows
-    through the helper ``run_policy`` drives the policy with, so each record
+    through the helper ``_drive`` builds them with, so each record
     holds what was revealed at that step, in the instance's own units.
     """
 
@@ -90,7 +95,13 @@ class DecisionTrace:
 
 
 class OnlinePolicy(Protocol):
-    """Deterministic choice of a machine from loads and a lookahead window."""
+    """Deterministic choice of a machine from loads and a lookahead window.
+
+    ``choose`` must be a pure function of (loads, window): the same loads and
+    window give the same machine, whatever was asked before.  Verification
+    relies on it, since instances that share a prefix share the decisions
+    made on it, and each chunk of the scan makes them once.
+    """
 
     scheduler_id: SchedulerId | None
     machine_count: int | None
@@ -174,6 +185,39 @@ def check_policy(policy: OnlinePolicy, m: int, k: int) -> None:
         raise InvalidParam(f"{name} needs lookahead >= {policy.min_lookahead}, got k={k}")
 
 
+def _policy_view(
+    policy: OnlinePolicy, times: Sequence[Rational], ints: Sequence[int], scale: int
+) -> tuple[tuple, Rational, int]:
+    """What a policy is driven on, given times and their ints over scale.
+
+    A ``BudgetCascade`` sees the integers (scaling by values not yet
+    revealed cannot change its choice, which does not depend on the unit),
+    any other policy the Fractions.  Returns (values, zero load, unit): the
+    unit turns a load of that run into an integer over scale.
+    """
+    if isinstance(policy, BudgetCascade):
+        return tuple(ints), 0, 1
+    return tuple(times), Fraction(0), scale
+
+
+def _drive(choose, seen: tuple, lookahead: int, states: list, decisions: list, step: int = 0) -> None:
+    """Run steps step + 1..n of a policy over seen, from the loads after step.
+
+    ``states[i]`` holds the loads after step i (``states[0]`` the empty
+    machines) and ``decisions[i]`` the machine of job i + 1.  Both are cut
+    back to step and extended to n.  Decision i depends only on the first
+    i + lookahead values, so a run over values that share their first d
+    with the stored run's may resume at step max(0, d - lookahead).
+    """
+    del states[step + 1 :], decisions[step:]
+    loads = list(states[step])
+    for window in _windows(seen, lookahead, step):
+        machine = choose(states[-1], window)
+        loads[machine - 1] += window.current
+        states.append(tuple(loads))
+        decisions.append(machine)
+
+
 def run_policy(
     instance: Instance, policy: OnlinePolicy, machine_count: int, lookahead: int
 ) -> DecisionTrace:
@@ -182,26 +226,17 @@ def run_policy(
     The policy only ever sees the loads and the k-lookahead window of the
     arriving job; the trace replays exactly that, so tests can check it.
     A lookahead of 0 (the LS baseline) gives every window an empty future.
-    The instance is scaled to integers once; a ``BudgetCascade`` sees the
-    integers (scaling by values not yet revealed cannot change its choice,
-    which does not depend on the unit), any other policy the Fractions.
+    The instance is scaled to integers once, and the policy sees what
+    ``_policy_view`` gives it.
     """
     check_policy(policy, machine_count, lookahead)
     times = instance.processing_times
     ints, scale = scaled_ints(times)
-    if isinstance(policy, BudgetCascade):
-        seen, loads = tuple(ints), [0] * machine_count
-    else:
-        seen, loads = times, [Fraction(0)] * machine_count
-    choose = policy.choose
-    decisions = []
-    for window in _windows(seen, lookahead):
-        machine = choose(tuple(loads), window)
-        loads[machine - 1] += window.current
-        decisions.append(machine)
-    if seen is times:  # the Fraction path: scale its final loads
-        loads = [int(load * scale) for load in loads]
-    return DecisionTrace(times, lookahead, tuple(decisions), tuple(loads), scale)
+    seen, zero, unit = _policy_view(policy, times, ints, scale)
+    states, decisions = [(zero,) * machine_count], []
+    _drive(policy.choose, seen, lookahead, states, decisions)
+    loads = tuple(int(load * unit) for load in states[-1])
+    return DecisionTrace(times, lookahead, tuple(decisions), loads, scale)
 
 
 def ls_schedule(instance: Instance, machine_count: int) -> DecisionTrace:

@@ -17,7 +17,8 @@ from itertools import islice, product
 from collections.abc import Iterable, Iterator, Sequence
 
 from .algorithms import (
-    DecisionTrace, OnlinePolicy, SchedulerId, check_policy, policy_for, policy_name, run_policy,
+    DecisionTrace, OnlinePolicy, SchedulerId, _drive, _policy_view, check_policy, policy_for,
+    policy_name, run_policy,
 )
 from .core import Instance, InvalidParam, Rational, make_instance, scaled_ints
 from .oracle import CapacityExceeded, competitive_ratio, optimal_makespan_value
@@ -133,17 +134,26 @@ def _scan_chunk(
     """Score one contiguous index range of the length-n enumeration.
 
     One make_instance makes the grid verify_bound checked Fractions, and
-    the chunk scales it once to integers over the lcm of its denominators,
-    then walks the Fraction tuples and their scaled integer tuples side by
-    side.  Each instance runs through ``run_policy``, so a policy sees it as
-    that call chooses, and its makespan is read in grid units from the
-    trace's integer loads.  OPT depends only on the multiset of processing
-    times, so it is computed once per sorted integer tuple in the chunk,
-    always on the sorted order: the oracle divides by the gcd, so a capacity
-    error depends on the multiset alone, never on which ordering the chunk
-    met first.  Ratios are compared with each other and with the bound by
-    cross-multiplying integers, and ordering integer tuples orders the
-    instances by value, as scaling keeps order.
+    the chunk scales it once to integers over the lcm of its denominators;
+    the policy is driven on what ``_policy_view`` gives it of that grid, so
+    it sees each instance as ``run_policy`` would show it.  The chunk keeps
+    the loads after each step of the previous instance.  Decision i depends
+    only on the first i + k values, and in lexicographic order an instance
+    shares all but its last t + 1 values with the one before, where t counts
+    the trailing zero base-|values| digits of its index; so ``_drive``
+    resumes each instance at step max(0, n - t - 1 - k) and every decision
+    is made once per distinct prefix.  The first instance of a chunk runs
+    from step 0, so the result is the same for any chunking.  The policy was
+    checked once by verify_bound; the scan makes no per-instance check or
+    scaling.  ALG is the largest final load, read in grid units.
+
+    OPT depends only on the multiset of processing times, so it is computed
+    once per sorted integer tuple in the chunk, always on the sorted order:
+    the oracle divides by the gcd, so a capacity error depends on the
+    multiset alone, never on which ordering the chunk met first.  Ratios
+    are compared with each other and with the bound by cross-multiplying
+    integers, and ordering integer tuples orders the instances by value, as
+    scaling keeps order.
 
     Returns (checked, best, violations), where best is the least
     (-ratio, times) pair: the largest ratio, ties broken towards the
@@ -153,22 +163,32 @@ def _scan_chunk(
     """
     values = make_instance(values).processing_times
     ints, scale = scaled_ints(values)
+    view, zero, unit = _policy_view(policy, values, ints, scale)
+    choose, base = policy.choose, len(values)
+    states, decisions = [(zero,) * m], []
     over, under = bound.numerator, bound.denominator
     # 0/1 is below every ratio, so the first instance always replaces it
     best_alg, best_opt, best_ints, best_times = 0, 1, None, None
     violations: list[tuple[tuple[Rational, ...], Rational]] = []
     opts: dict[tuple[int, ...], int] = {}
-    for times, units in zip(_grid(n, values, start, stop), _grid(n, ints, start, stop)):
+    grids = zip(_grid(n, values, start, stop), _grid(n, ints, start, stop), _grid(n, view, start, stop))
+    for index, (times, units, seen) in enumerate(grids, start):
+        shared = 0  # leading values shared with the previous instance
+        if index > start:
+            shared, wrapped = n - 1, index
+            while wrapped % base == 0:
+                wrapped //= base
+                shared -= 1
+        _drive(choose, seen, k, states, decisions, max(0, shared - k))
         key = tuple(sorted(units))
         try:
-            trace = run_policy(Instance(times), policy, m, k)
             opt = opts.get(key)
             if opt is None:
                 value = optimal_makespan_value(Instance(tuple(sorted(times))), m)
                 opt = opts[key] = value.numerator * (scale // value.denominator)
         except CapacityExceeded as exc:
             raise CapacityExceeded(f"{exc} (instance {inline_label(times)})") from exc
-        alg = max(trace.scaled_loads) * (scale // trace.scale)
+        alg = int(max(states[-1]) * unit)
         # alg/opt and best_alg/best_opt, both multiplied by opt * best_opt
         this, best = alg * best_opt, best_alg * opt
         if this > best or (this == best and units < best_ints):

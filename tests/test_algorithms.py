@@ -15,7 +15,8 @@ from lasched import (
     three_la1_schedule,
     two_la1_schedule,
 )
-from lasched.algorithms import BudgetCascade
+from lasched.algorithms import BudgetCascade, _drive, _policy_view
+from lasched.core import scaled_ints
 from reference_policies import LoadConstant, reference_choose, three_la1_admit, two_la1_admit
 
 positive_fractions = st.fractions(min_value=F(1, 6), max_value=6, max_denominator=6)
@@ -259,6 +260,41 @@ def test_any_other_policy_sees_the_fractions():
     assert trace.decisions == (1, 2, 3, 2, 2)
     assert trace.loads == (F(7, 2), F(11), F(2))
     assert all(type(value) is F for loads in policy.seen for value in loads)
+
+
+# LoadConstant's totals 7, 11 and 15 are reachable from these values
+resumable_times = st.one_of(positive_fractions, st.sampled_from([F(7, 2), F(4), F(7), F(11)]))
+
+
+@pytest.mark.parametrize(
+    "policy,m,k",
+    [
+        (SchedulerId.LS, 3, 0),
+        (SchedulerId.TWO_LA1, 2, 1),
+        (SchedulerId.THREE_LA1, 3, 1),
+        (SchedulerId.THREE_LA1, 3, 2),
+        (LoadConstant(), 3, 1),  # not a BudgetCascade: the Fraction path
+    ],
+)
+@given(data=st.data())
+def test_a_resumed_drive_matches_a_fresh_run(policy, m, k, data):
+    # run one instance, then resume a second one that shares its first
+    # `shared` values at step max(0, shared - k), as the verify scan does
+    policy = policy_for(policy)
+    first = data.draw(st.lists(resumable_times, min_size=1, max_size=8))
+    n = len(first)
+    shared = data.draw(st.integers(0, n))
+    second = first[:shared] + data.draw(st.lists(resumable_times, min_size=n - shared, max_size=n - shared))
+    ints, scale = scaled_ints(first + second)
+    states, decisions = None, []
+    for times, units, step in ((first, ints[:n], 0), (second, ints[n:], max(0, shared - k))):
+        seen, zero, unit = _policy_view(policy, times, units, scale)
+        states = states or [(zero,) * m]
+        _drive(policy.choose, seen, k, states, decisions, step)
+    fresh = run_policy(make_instance(second), policy, m, k)
+    assert tuple(decisions) == fresh.decisions
+    assert tuple(F(load * unit, scale) for load in states[-1]) == fresh.loads
+    assert len(states) == n + 1
 
 
 @pytest.mark.parametrize("scheduler,m,k", SCHEDULERS)

@@ -1,4 +1,5 @@
 import concurrent.futures
+import dataclasses
 from fractions import Fraction as F
 from math import comb
 
@@ -167,6 +168,9 @@ def _uncached_report(scheduler, m, k, n_max, values, bound):
         # not a BudgetCascade, and the grid's scale is 2: the scan must run it
         # on the Fractions, where its load constants mean what they say
         (LoadConstant(), 3, 1, (F(7, 2), F(4), F(7), F(11)), F(4, 3)),
+        # k = 2: the scan resumes two steps before the first changed value
+        (SchedulerId.TWO_LA1, 2, 2, VALUES_123, F(5, 4)),
+        (SchedulerId.THREE_LA1, 3, 2, VALUES_123, F(16, 11)),
     ],
 )
 def test_verify_bound_equals_uncached_reference(scheduler, m, k, values, bound, jobs):
@@ -179,20 +183,26 @@ def test_verify_bound_equals_uncached_reference(scheduler, m, k, values, bound, 
     assert [(inst.processing_times, r) for inst, r in report.violations] == violations
 
 
-def test_verify_bound_runs_each_instance_through_the_module_run_policy(monkeypatch):
-    # the benchmark's tracer wraps harness.run_policy; the scan must reach
-    # every policy run through that attribute
-    run_policy = harness.run_policy
+def test_verify_bound_makes_each_decision_once_per_distinct_prefix():
+    # the benchmark's tracer wraps choose on the policy itself; decision i
+    # depends on the first i + k values, so a chunk calls choose once per
+    # distinct prefix of that length and never reruns a whole instance
+    policy = dataclasses.replace(policy_for(SchedulerId.THREE_LA1))
+    choose = policy.choose
     calls = []
 
-    def counted(instance, policy, m, k):
-        calls.append(instance.processing_times)
-        return run_policy(instance, policy, m, k)
+    def counted(loads, window):
+        calls.append((loads, window))
+        return choose(loads, window)
 
-    monkeypatch.setattr(harness, "run_policy", counted)
-    report = verify_bound(SchedulerId.THREE_LA1, 3, 1, 4, VALUES_123, F(16, 11), jobs=1)
-    assert len(calls) == report.instances_checked == 3 + 9 + 27 + 81
-    assert len(set(calls)) == len(calls)
+    policy.choose = counted
+    report = verify_bound(policy, 3, 1, 4, VALUES_123, F(16, 11), jobs=1)
+    assert report.instances_checked == 3 + 9 + 27 + 81
+    k = 1
+    expected = sum(3 ** min(i + k, n) for n in range(1, 5) for i in range(1, n + 1))
+    assert len(calls) == expected == 282
+    plain = verify_bound(SchedulerId.THREE_LA1, 3, 1, 4, VALUES_123, F(16, 11), jobs=1)
+    assert dataclasses.replace(report, policy=plain.policy) == plain
 
 
 def test_verify_bound_calls_the_oracle_once_per_multiset(monkeypatch):
