@@ -64,18 +64,15 @@ def _ratio_str(value: Rational) -> str:
     return f"{format_rational(value)} ({float(value):.6f})"
 
 
-def _parse_values(text: str) -> tuple[Rational, ...]:
-    try:
-        return tuple(parse_rational(part) for part in text.split(","))
-    except ValueError as exc:
-        raise _UsageError(f"--values: {exc}") from None
-
-
-def _parse_bound(text: str) -> Rational:
+def _rational_flag(flag: str, text: str) -> Rational:
     try:
         return parse_rational(text)
     except ValueError as exc:
-        raise _UsageError(f"--bound: {exc}") from None
+        raise _UsageError(f"{flag}: {exc}") from None
+
+
+def _values_flag(text: str) -> tuple[Rational, ...]:
+    return tuple(_rational_flag("--values", part) for part in text.split(","))
 
 
 def _load_instance(args) -> tuple[Instance, str]:
@@ -165,8 +162,8 @@ def _cmd_verify(args) -> int:
         args.m,
         _default_k(args),
         args.nmax,
-        _parse_values(args.values),
-        _parse_bound(args.bound),
+        _values_flag(args.values),
+        _rational_flag("--bound", args.bound),
         jobs=args.jobs,
     )
     _print_report(report)
@@ -195,10 +192,7 @@ def _print_transcript(game: str, transcript: GameTranscript, trace: bool) -> Non
 
 def _cmd_adversary(args) -> int:
     if args.game == "thm1":
-        try:
-            x = parse_rational("1" if args.x is None else args.x)
-        except ValueError as exc:
-            raise _UsageError(f"--x: {exc}") from None
+        x = _rational_flag("--x", "1" if args.x is None else args.x)
         transcript = play_theorem1(args.alg, 100 if args.n is None else args.n, _default_k(args), x)
     else:
         if args.n is not None or args.x is not None or args.k not in (None, 1):
@@ -212,7 +206,7 @@ def _cmd_generate(args) -> int:
     if args.family is not None:
         instance = named_instance(parse_family_id(args.family))
     elif args.random is not None:
-        values = _parse_values(args.values)
+        values = _values_flag(args.values)
         rng = random.Random(args.seed)
         instance = make_instance(
             [values[rng.randrange(len(values))] for _ in range(args.random)]

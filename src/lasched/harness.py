@@ -65,19 +65,9 @@ def run_one(
     policy: SchedulerId | OnlinePolicy, instance: Instance, m: int, k: int, label: str | None = None
 ) -> ExperimentRow:
     """Run a policy once on one instance and score it against the oracle."""
-    return _scored(policy_for(policy), instance, m, k, label, {})
-
-
-def _scored(
-    policy: OnlinePolicy, instance: Instance, m: int, k: int, label: str | None, opts: dict
-) -> ExperimentRow:
-    """run_one's row, with OPT looked up in opts by sorted multiset and
-    computed only on a miss, so rows that share opts share their oracle calls."""
+    policy = policy_for(policy)
     trace = run_policy(instance, policy, m, k)
-    key = tuple(sorted(instance.processing_times))
-    opt = opts.get(key)
-    if opt is None:
-        opt = opts[key] = optimal_makespan_value(instance, m)
+    opt = optimal_makespan_value(instance, m)
     return ExperimentRow(
         policy=policy,
         instance_label=label if label is not None else inline_label(instance.processing_times),
@@ -90,6 +80,7 @@ def _scored(
 
 
 def _check_values(values: Sequence[Rational]) -> tuple[Rational, ...]:
+    """The value grid, validated and made Fractions by one make_instance."""
     values = tuple(values)
     if not values:
         raise InvalidParam("value set must be non-empty")
@@ -97,7 +88,7 @@ def _check_values(values: Sequence[Rational]) -> tuple[Rational, ...]:
         raise InvalidParam("all values must be positive")
     if len(set(values)) < len(values):
         raise InvalidParam(f"values must be distinct, got {inline_label(values)}")
-    return values
+    return make_instance(values).processing_times
 
 
 def _grid(n: int, values: Sequence, start: int, stop: int | None) -> Iterator[tuple]:
@@ -114,10 +105,9 @@ def enumerate_instances(
     can be chunked and restarted."""
     if n < 1:
         raise InvalidParam(f"instance length must be >= 1, got {n}")
-    # one make_instance validates the grid and makes it Fractions, so its
-    # tuples become Instances without validating each one
-    values = make_instance(_check_values(values)).processing_times
-    for times in _grid(n, values, start, stop):
+    # the grid is checked Fractions, so its tuples become Instances without
+    # validating each one
+    for times in _grid(n, _check_values(values), start, stop):
         yield Instance(times)
 
 
@@ -133,8 +123,8 @@ def _scan_chunk(
 ):
     """Score one contiguous index range of the length-n enumeration.
 
-    One make_instance makes the grid verify_bound checked Fractions, and
-    the chunk scales it once to integers over the lcm of its denominators;
+    The grid comes as the checked Fractions of verify_bound, and the chunk
+    scales it once to integers over the lcm of its denominators;
     the policy is driven on what ``_policy_view`` gives it of that grid, so
     it sees each instance as ``run_policy`` would show it.  The chunk keeps
     the loads after each step of the previous instance.  Decision i depends
@@ -161,7 +151,6 @@ def _scan_chunk(
     Picklable arguments only (a BudgetCascade pickles), so verification can
     fan out across processes.
     """
-    values = make_instance(values).processing_times
     ints, scale = scaled_ints(values)
     view, zero, unit = _policy_view(policy, values, ints, scale)
     choose, base = policy.choose, len(values)
@@ -263,11 +252,17 @@ def verify_bound(
 
 
 def report_rows(report: VerificationReport) -> list[ExperimentRow]:
-    """Flatten a report into rows, each scored as run_one scores it: the argmax
-    instance, then each violation; rows of one multiset share one oracle call."""
-    instances = (report.argmax_instance, *(instance for instance, _ in report.violations))
-    opts: dict = {}
-    return [_scored(report.policy, instance, report.m, report.k, None, opts) for instance in instances]
+    """Flatten a report into the rows run_one would give: the argmax
+    instance, then each violation.  Each row replays the policy, and OPT is
+    ALG divided by the report's ratio, which the scan computed as ALG/OPT,
+    so no row calls the oracle again."""
+    policy, m, k = report.policy, report.m, report.k
+    rows = []
+    for instance, ratio in ((report.argmax_instance, report.max_ratio), *report.violations):
+        trace = run_policy(instance, policy, m, k)
+        label = inline_label(instance.processing_times)
+        rows.append(ExperimentRow(policy, label, m, k, trace, trace.makespan / ratio, ratio))
+    return rows
 
 
 def emit_csv(rows: Iterable[ExperimentRow]) -> str:

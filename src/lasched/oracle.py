@@ -14,12 +14,13 @@ bound of bin-packing branch and bound (Martello and Toth, Knapsack Problems,
 1990, ch. 8), where room below the smallest job still to come is wasted.
 Waste is at most m*(p - 1) for that smallest job p, so the check runs only
 at depths where that exceeds the slack, and unit jobs skip it.  The value
-paths are a subset-sum bitset for m = 2 (past ``state_cap``, the search)
-and, for every m >= 3, a layered reachable-load DP over load tuples, each
-kept sorted because the machines are identical.  Sending the m >= 3 value
-through the search waits for the benchmark fix of ROADMAP item 1.  Every
-table is bounded by ``state_cap``.  The tests check both paths against a
-pure m^n brute force.
+paths run one table first, a subset-sum bitset for m = 2 and, for every
+m >= 3, a layered reachable-load DP over load tuples, each kept sorted
+because the machines are identical; past ``state_cap`` every value path
+falls back to the search, so it answers whatever the witness path answers.
+Dropping the m >= 3 table for the search waits for the benchmark fix of
+ROADMAP item 1.  Every table and the search's dead ends are bounded by
+``state_cap``.  The tests check both paths against a pure m^n brute force.
 """
 
 from __future__ import annotations
@@ -37,17 +38,22 @@ DEFAULT_STATE_CAP = 5_000_000
 
 
 class CapacityExceeded(SchedulingError):
-    """A DP table would exceed its size bound, ``state_cap``.
+    """The value tables and the witness search would all pass ``state_cap``.
 
     The m = 2 value bitset counts its bits over all its layers, one bit per
-    M1 load from 0 to the work shifted in so far; past the cap both m = 2
-    paths fall back to the witness search instead of raising.
-    For m >= 3 the value path's DP counts the load tuples of all its layers
-    together.  For every m >= 2 the witness search counts the dead-end load
-    tuples it stores, summed over every cap it probes; children cut by the
-    cap or by the wasted-room bound are never stored.  Raised instead of ever
-    degrading accuracy; shrink the instance or raise the cap.
+    M1 load from 0 to the work shifted in so far; the m >= 3 value DP counts
+    the load tuples of all its layers together.  Past either table's cap the
+    value path falls back to the witness search instead of raising, and so
+    does the m = 2 witness path past the bitset's.  For every m >= 2 the
+    witness search counts the dead-end load tuples it stores, summed over
+    every cap it probes; children cut by the cap or by the wasted-room bound
+    are never stored.  Raised only once the search passes the cap too,
+    instead of ever degrading accuracy; shrink the instance or raise the cap.
     """
+
+
+def _past_cap(state_cap: int) -> CapacityExceeded:
+    return CapacityExceeded(f"DP table grew past {state_cap} states; use smaller values or raise the cap")
 
 
 class ZeroOpt(SchedulingError):
@@ -86,9 +92,7 @@ def _dp_two(ints: list[int], state_cap: int) -> int:
         i = j
     parts.sort()
     if sum(accumulate(parts, initial=1)) > state_cap:
-        raise CapacityExceeded(
-            f"DP table grew past {state_cap} states; use smaller values or raise the cap"
-        )
+        raise _past_cap(state_cap)
     reach = 1  # bit s set <=> load s on M1 is reachable
     for a in parts:
         reach |= reach << a
@@ -120,9 +124,7 @@ def _dp_sorted(ints: list[int], m: int, state_cap: int) -> int:
             nxt.update(_children(loads, a))
         stored += len(nxt)
         if stored > state_cap:
-            raise CapacityExceeded(
-                f"DP table grew past {state_cap} states; use smaller values or raise the cap"
-            )
+            raise _past_cap(state_cap)
         layer = nxt
     return min(loads[-1] for loads in layer)
 
@@ -135,10 +137,10 @@ def _lpt_makespan(ints: list[int], m: int) -> int:
     return max(loads)
 
 
-def _two_machine_value(ints: list[int], state_cap: int) -> int | None:
-    """The m = 2 optimum from the subset-sum bitset, or None if it would pass ``state_cap``."""
+def _table_value(ints: list[int], m: int, state_cap: int) -> int | None:
+    """The optimum from the m = 2 bitset or the m >= 3 DP, or None if it would pass ``state_cap``."""
     try:
-        return _dp_two(ints, state_cap)
+        return _dp_two(ints, state_cap) if m == 2 else _dp_sorted(ints, m, state_cap)
     except CapacityExceeded:
         return None
 
@@ -198,9 +200,7 @@ def _witness_search(
             dead.add(tuple(sorted(loads)))
             stored += 1
             if stored > state_cap:
-                raise CapacityExceeded(
-                    f"DP table grew past {state_cap} states; use smaller values or raise the cap"
-                )
+                raise _past_cap(state_cap)
             if not machines:
                 return None
             j = machines.pop()
@@ -244,18 +244,15 @@ def optimal_makespan_value(
 ) -> Rational:
     """Exact minimum makespan without witness reconstruction (fast path).
 
-    At m = 2 the subset-sum bitset answers; if it would pass ``state_cap``,
-    the witness search does, so both m = 2 paths answer the same instances.
+    The subset-sum bitset (m = 2) or the sorted-tuple DP (m >= 3) answers;
+    if it would pass ``state_cap``, the witness search does, starting with
+    its lower-bound probe, so at every m the value path answers the same
+    instances as ``optimal_makespan``.
     """
     ints, unit, scale = _coprime_ints(instance)
-    if machine_count == 2:
-        best = _two_machine_value(ints, state_cap)
-        if best is None:
-            # the search's lower-bound probe may still answer, as it does
-            # for the witness; if it cannot, the search raises in turn
-            best = _witness_search(ints, 2, state_cap)[0]
-    else:
-        best = _dp_sorted(ints, machine_count, state_cap)
+    best = _table_value(ints, machine_count, state_cap)
+    if best is None:
+        best = _witness_search(ints, machine_count, state_cap)[0]
     return Fraction(best * unit, scale)
 
 
@@ -278,14 +275,15 @@ def optimal_makespan(
     only subtrees with no feasible completion.  Dead-end load tuples over all
     probes are bounded by ``state_cap``.  The search does not recurse per
     job, so instances of thousands of jobs are fine.
-    ``optimal_makespan_value`` keeps its own value paths; moving its m >= 3
-    DP onto this search waits for ROADMAP item 1's benchmark fix.  The first
+    ``optimal_makespan_value`` runs its own table first and, at every m,
+    falls back to this search past ``state_cap``; dropping its m >= 3 DP for
+    the search waits for ROADMAP item 1's benchmark fix.  The first
     assignment the probe at the optimal cap reaches is the lexicographically
     smallest optimal one, the same witness a brute force over all m^n
     assignments in lexicographic order returns.
     """
     ints, unit, scale = _coprime_ints(instance)
-    optimum = _two_machine_value(ints, state_cap) if machine_count == 2 else None
+    optimum = _table_value(ints, 2, state_cap) if machine_count == 2 else None
     best, machines = _witness_search(ints, machine_count, state_cap, optimum)
     return OptResult(Fraction(best * unit, scale), {i: m for i, m in enumerate(machines, 1)})
 

@@ -291,6 +291,8 @@ GOLDEN_COMMANDS = {
     "error_values_token": "verify --alg ls --m 2 --nmax 2 --values 1,x --bound 3/2",
     "error_values_duplicate": "verify --alg ls --m 2 --nmax 2 --values 1,1 --bound 3/2",
     "error_bound_below_one": "verify --alg ls --m 2 --nmax 2 --values 1,2 --bound 0",
+    "error_bound_token": "verify --alg ls --m 2 --nmax 2 --values 1,2 --bound x",
+    "error_x_decimal": "adversary --game thm1 --alg ls --x 0.5",
     "error_instance_not_utf8": "oracle --m 2 --instance not_utf8.txt",
 }
 
@@ -302,13 +304,28 @@ FIXTURES = (
 )
 
 
-@pytest.mark.parametrize("case", GOLDEN_COMMANDS)
+# each run maps to (golden directory, command); two verify cases also run
+# through the process pool, which splits each length into two or three
+# chunks, each with its own OPT cache and prefix states resumed from step 0,
+# and must print the same bytes as one chunk per length
+GOLDEN_RUNS = {case: (case, command) for case, command in GOLDEN_COMMANDS.items()}
+GOLDEN_RUNS.update(
+    {
+        f"{case}_jobs{jobs}": (case, f"{GOLDEN_COMMANDS[case]} --jobs {jobs}")
+        for case in ("verify_3la1_n6", "verify_2la1_n7")
+        for jobs in (2, 3)
+    }
+)
+
+
+@pytest.mark.parametrize("case", GOLDEN_RUNS)
 def test_cli_bytes_match_golden(capsys, tmp_path, monkeypatch, case):
+    golden, command = GOLDEN_RUNS[case]
     for name in FIXTURES:
         (tmp_path / name).write_bytes((GOLDEN / name).read_bytes())
     monkeypatch.chdir(tmp_path)
-    code, out, err = run(capsys, *shlex.split(GOLDEN_COMMANDS[case]))
-    expected = {path.name: path.read_bytes() for path in (GOLDEN / case).iterdir()}
+    code, out, err = run(capsys, *shlex.split(command))
+    expected = {path.name: path.read_bytes() for path in (GOLDEN / golden).iterdir()}
     assert code == int(expected.pop("exit"))
     assert out.encode() == expected.pop("stdout")
     assert err.encode() == expected.pop("stderr")

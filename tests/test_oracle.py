@@ -102,18 +102,38 @@ def test_capacity_exceeded():
     with pytest.raises(CapacityExceeded, match="past 479 states"):
         optimal_makespan(instance, 3, state_cap=479)
     assert optimal_makespan(instance, 3, state_cap=480).makespan == 77
+    # past the m = 3 DP's cap the value path falls back to the search too: the
+    # DP stores 5401 load tuples on that call, so at both caps the search
+    # answers, and the value path raises only once its dead ends pass the cap
+    with pytest.raises(CapacityExceeded, match="past 479 states"):
+        optimal_makespan_value(instance, 3, state_cap=479)
+    assert optimal_makespan_value(instance, 3, state_cap=480) == 77
+    with pytest.raises(CapacityExceeded, match="past 1 states"):
+        oracle._dp_sorted([1] * 30, 3, state_cap=1)
+    assert optimal_makespan_value(make_instance([1] * 30), 3, state_cap=1) == 10
 
 
-def test_m2_paths_run_the_bitset_at_most_once(monkeypatch):
-    dp_two = oracle._dp_two
+def test_oracle_paths_run_their_table_at_most_once(monkeypatch):
     calls = []
-    monkeypatch.setattr(oracle, "_dp_two", lambda ints, cap: calls.append(cap) or dp_two(ints, cap))
-    instance = make_instance([1] * 10)
-    for path in (optimal_makespan_value, lambda *a, **kw: optimal_makespan(*a, **kw).makespan):
-        for cap in (24, 25):
-            calls.clear()
-            assert path(instance, 2, state_cap=cap) == 5
-            assert calls == [cap]
+    for name in ("_dp_two", "_dp_sorted"):
+        table = getattr(oracle, name)
+        monkeypatch.setattr(oracle, name, lambda *args, table=table: calls.append(args[-1]) or table(*args))
+
+    def witness(*args, **kwargs):
+        return optimal_makespan(*args, **kwargs).makespan
+
+    # at m = 2 both paths run the bitset once, whether it fits its cap or not;
+    # at m = 3 the value path runs its DP once and the witness path no table
+    for m, times, opt, caps, witness_calls in (
+        (2, [1] * 10, 5, (24, 25), 1),
+        (3, [1] * 30, 10, (1, 2000), 0),
+    ):
+        instance = make_instance(times)
+        for cap in caps:
+            for path, count in ((optimal_makespan_value, 1), (witness, witness_calls)):
+                calls.clear()
+                assert path(instance, m, state_cap=cap) == opt
+                assert calls == [cap] * count
 
 
 def test_both_oracle_paths_divide_by_the_gcd():
