@@ -15,7 +15,7 @@ from fractions import Fraction
 from collections.abc import Callable
 
 from .algorithms import DecisionTrace, OnlinePolicy, SchedulerId, policy_for, run_policy
-from .core import Instance, InvalidParam, Rational, make_instance
+from .core import Instance, InvalidParam, Rational, make_instance, reject_float
 from .harness import run_one
 
 # (p4, p5) tails of the five-job ambush family, per case id
@@ -177,6 +177,7 @@ def play_theorem1(
         raise InvalidParam(f"lookahead must be >= 1, got {k}")
     if n < k + 2:
         raise InvalidParam(f"need n >= k + 2, got n={n}, k={k}")
+    reject_float(x, "x")
     x = Fraction(x)
     if x <= 0:
         raise InvalidParam(f"x must be positive, got {x}")

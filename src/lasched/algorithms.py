@@ -1,23 +1,23 @@
 """The three online scheduling policies behind one deterministic interface.
 
 Each policy is a pure function of the current machine loads and the
-lookahead window of the arriving job, stored as one row of data for a
-single budget-cascade rule.  A window with an empty future marks the final
-job, which all policies send to a least-loaded machine.  Every admission
-inequality is homogeneous, so a budget cascade's ``choose`` is driven on
-the instance scaled to integers over the common denominator of its
-processing times, where every comparison, ties included, keeps its truth
-value; any other policy sees the Fractions (``_policy_view`` makes that
-choice).  One loop, ``_drive``, makes the decisions: it runs the steps after
-a stored load state and records the loads after each step, so
-``run_policy`` runs it from the start and the verify scan resumes it where
-an instance stops sharing its prefix with the one before.  A trace stores
-the decisions and the integer loads, and builds its Fractions on read.
+lookahead window of the arriving job, stored as one row of data for a single
+budget-cascade rule.  A window with an empty future marks the final job,
+which all policies send to a least-loaded machine.  Every run is driven on
+the instance scaled to integers over the common denominator of its times, so
+every load state is a tuple of ints.  Every admission inequality is
+homogeneous, so a budget cascade's ``choose`` takes those integers, and each
+comparison, ties included, keeps its truth value; ``_chooser`` shows any
+other policy the equal Fractions.  One loop, ``_drive``, makes the
+decisions: it runs the steps after a stored load state and records the loads
+after each step, so ``run_policy`` runs it from the start and the verify
+scan resumes it where an instance stops sharing its prefix with the one
+before.  A trace stores the decisions and the integer loads, and builds its
+Fractions on read.
 """
 
 from __future__ import annotations
 
-from collections.abc import Sequence
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -185,33 +185,37 @@ def check_policy(policy: OnlinePolicy, m: int, k: int) -> None:
         raise InvalidParam(f"{name} needs lookahead >= {policy.min_lookahead}, got k={k}")
 
 
-def _policy_view(
-    policy: OnlinePolicy, times: Sequence[Rational], ints: Sequence[int], scale: int
-) -> tuple[tuple, Rational, int]:
-    """What a policy is driven on, given times and their ints over scale.
+def _chooser(policy: OnlinePolicy, scale: int):
+    """The policy's ``choose`` on integer loads and windows over scale.
 
-    A ``BudgetCascade`` sees the integers (scaling by values not yet
-    revealed cannot change its choice, which does not depend on the unit),
-    any other policy the Fractions.  Returns (values, zero load, unit): the
-    unit turns a load of that run into an integer over scale.
+    A ``BudgetCascade`` takes the integers: its tests do not depend on the
+    unit, so scaling by values not yet revealed cannot change its choice.
+    Any other policy is shown the equal Fractions, where its constants mean
+    what they say.
     """
+    choose = policy.choose
     if isinstance(policy, BudgetCascade):
-        return tuple(ints), 0, 1
-    return tuple(times), Fraction(0), scale
+        return choose
+
+    def shown(loads: tuple[int, ...], window: LookaheadWindow) -> int:
+        current, *future = (Fraction(p, scale) for p in (window.current, *window.future))
+        return choose(tuple(Fraction(x, scale) for x in loads), LookaheadWindow(current, tuple(future)))
+
+    return shown
 
 
-def _drive(choose, seen: tuple, lookahead: int, states: list, decisions: list, step: int = 0) -> None:
-    """Run steps step + 1..n of a policy over seen, from the loads after step.
+def _drive(choose, units: tuple, lookahead: int, states: list, decisions: list, step: int = 0) -> None:
+    """Run steps step + 1..n of a ``_chooser`` over units, from the loads after step.
 
-    ``states[i]`` holds the loads after step i (``states[0]`` the empty
-    machines) and ``decisions[i]`` the machine of job i + 1.  Both are cut
-    back to step and extended to n.  Decision i depends only on the first
-    i + lookahead values, so a run over values that share their first d
-    with the stored run's may resume at step max(0, d - lookahead).
+    ``states[i]`` holds the integer loads after step i (``states[0]`` the
+    empty machines) and ``decisions[i]`` the machine of job i + 1.  Both are
+    cut back to step and extended to n.  Decision i depends only on the
+    first i + lookahead values, so a run over values that share their first
+    d with the stored run's may resume at step max(0, d - lookahead).
     """
     del states[step + 1 :], decisions[step:]
     loads = list(states[step])
-    for window in _windows(seen, lookahead, step):
+    for window in _windows(units, lookahead, step):
         machine = choose(states[-1], window)
         loads[machine - 1] += window.current
         states.append(tuple(loads))
@@ -227,16 +231,14 @@ def run_policy(
     arriving job; the trace replays exactly that, so tests can check it.
     A lookahead of 0 (the LS baseline) gives every window an empty future.
     The instance is scaled to integers once, and the policy sees what
-    ``_policy_view`` gives it.
+    ``_chooser`` shows it.
     """
     check_policy(policy, machine_count, lookahead)
     times = instance.processing_times
     ints, scale = scaled_ints(times)
-    seen, zero, unit = _policy_view(policy, times, ints, scale)
-    states, decisions = [(zero,) * machine_count], []
-    _drive(policy.choose, seen, lookahead, states, decisions)
-    loads = tuple(int(load * unit) for load in states[-1])
-    return DecisionTrace(times, lookahead, tuple(decisions), loads, scale)
+    states, decisions = [(0,) * machine_count], []
+    _drive(_chooser(policy, scale), tuple(ints), lookahead, states, decisions)
+    return DecisionTrace(times, lookahead, tuple(decisions), states[-1], scale)
 
 
 def ls_schedule(instance: Instance, machine_count: int) -> DecisionTrace:

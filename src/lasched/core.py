@@ -97,11 +97,14 @@ class LookaheadWindow:
     future: tuple[Rational, ...]
 
 
-def _coerce_time(value, position: int) -> Rational:
+def reject_float(value, name: str) -> None:
+    """Raise TypeError naming the parameter if value is a float: no float reaches exact arithmetic."""
     if isinstance(value, float):
-        raise TypeError(
-            f"processing time {position} is a float; pass Fraction or int"
-        )
+        raise TypeError(f"{name} is a float; pass Fraction or int")
+
+
+def _coerce_time(value, position: int) -> Rational:
+    reject_float(value, f"processing time {position}")
     if isinstance(value, Fraction):
         return value
     if isinstance(value, int):

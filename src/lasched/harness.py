@@ -17,10 +17,10 @@ from itertools import islice, product
 from collections.abc import Iterable, Iterator, Sequence
 
 from .algorithms import (
-    DecisionTrace, OnlinePolicy, SchedulerId, _drive, _policy_view, check_policy, policy_for,
+    DecisionTrace, OnlinePolicy, SchedulerId, _chooser, _drive, check_policy, policy_for,
     policy_name, run_policy,
 )
-from .core import Instance, InvalidParam, Rational, make_instance, scaled_ints
+from .core import Instance, InvalidParam, Rational, make_instance, reject_float, scaled_ints
 from .oracle import CapacityExceeded, competitive_ratio, optimal_makespan_value
 
 CSV_HEADER = ("scheduler", "instance", "m", "k", "alg_makespan", "opt_makespan", "ratio", "ratio_decimal")
@@ -57,7 +57,7 @@ class VerificationReport:
     target_bound: Rational
 
 
-def inline_label(values: Sequence[Rational]) -> str:
+def inline_label(values: Iterable[Rational]) -> str:
     return ",".join(str(v) for v in values)
 
 
@@ -123,19 +123,18 @@ def _scan_chunk(
 ):
     """Score one contiguous index range of the length-n enumeration.
 
-    The grid comes as the checked Fractions of verify_bound, and the chunk
-    scales it once to integers over the lcm of its denominators;
-    the policy is driven on what ``_policy_view`` gives it of that grid, so
-    it sees each instance as ``run_policy`` would show it.  The chunk keeps
-    the loads after each step of the previous instance.  Decision i depends
-    only on the first i + k values, and in lexicographic order an instance
-    shares all but its last t + 1 values with the one before, where t counts
-    the trailing zero base-|values| digits of its index; so ``_drive``
-    resumes each instance at step max(0, n - t - 1 - k) and every decision
-    is made once per distinct prefix.  The first instance of a chunk runs
-    from step 0, so the result is the same for any chunking.  The policy was
-    checked once by verify_bound; the scan makes no per-instance check or
-    scaling.  ALG is the largest final load, read in grid units.
+    The chunk scales verify_bound's checked Fractions once to integers over
+    the lcm of their denominators and iterates that one integer grid,
+    driving the policy through ``_chooser`` as ``run_policy`` does.  It
+    keeps the loads after each step of the previous instance.  Decision i
+    depends only on the first i + k values, and in lexicographic order an
+    instance shares all but its last t + 1 values with the one before, where
+    t counts the trailing zero base-|values| digits of its index; so
+    ``_drive`` resumes each instance at step max(0, n - t - 1 - k) and every
+    decision is made once per distinct prefix.  The first instance of a
+    chunk runs from step 0, so the result is the same for any chunking.  The
+    policy was checked once by verify_bound; the scan makes no per-instance
+    check or scaling.  ALG is the largest final load, in grid units.
 
     OPT depends only on the multiset of processing times, so it is computed
     once per sorted integer tuple in the chunk, always on the sorted order:
@@ -147,44 +146,45 @@ def _scan_chunk(
 
     Returns (checked, best, violations), where best is the least
     (-ratio, times) pair: the largest ratio, ties broken towards the
-    lexicographically smallest instance.  Only these are Fractions.
+    lexicographically smallest instance.  A value dict maps integers back
+    to the checked Fractions only for these, the oracle's instance and a
+    capacity error's label.
     Picklable arguments only (a BudgetCascade pickles), so verification can
     fan out across processes.
     """
     ints, scale = scaled_ints(values)
-    view, zero, unit = _policy_view(policy, values, ints, scale)
-    choose, base = policy.choose, len(values)
-    states, decisions = [(zero,) * m], []
+    value_of = dict(zip(ints, values)).__getitem__
+    choose, base = _chooser(policy, scale), len(values)
+    states, decisions = [(0,) * m], []
     over, under = bound.numerator, bound.denominator
     # 0/1 is below every ratio, so the first instance always replaces it
-    best_alg, best_opt, best_ints, best_times = 0, 1, None, None
+    best_alg, best_opt, best_units = 0, 1, None
     violations: list[tuple[tuple[Rational, ...], Rational]] = []
     opts: dict[tuple[int, ...], int] = {}
-    grids = zip(_grid(n, values, start, stop), _grid(n, ints, start, stop), _grid(n, view, start, stop))
-    for index, (times, units, seen) in enumerate(grids, start):
+    for index, units in enumerate(_grid(n, ints, start, stop), start):
         shared = 0  # leading values shared with the previous instance
         if index > start:
             shared, wrapped = n - 1, index
             while wrapped % base == 0:
                 wrapped //= base
                 shared -= 1
-        _drive(choose, seen, k, states, decisions, max(0, shared - k))
+        _drive(choose, units, k, states, decisions, max(0, shared - k))
         key = tuple(sorted(units))
-        try:
-            opt = opts.get(key)
-            if opt is None:
-                value = optimal_makespan_value(Instance(tuple(sorted(times))), m)
-                opt = opts[key] = value.numerator * (scale // value.denominator)
-        except CapacityExceeded as exc:
-            raise CapacityExceeded(f"{exc} (instance {inline_label(times)})") from exc
-        alg = int(max(states[-1]) * unit)
+        opt = opts.get(key)
+        if opt is None:
+            try:
+                value = optimal_makespan_value(Instance(tuple(map(value_of, key))), m)
+            except CapacityExceeded as exc:
+                raise CapacityExceeded(f"{exc} (instance {inline_label(map(value_of, units))})") from exc
+            opt = opts[key] = value.numerator * (scale // value.denominator)
+        alg = max(states[-1])
         # alg/opt and best_alg/best_opt, both multiplied by opt * best_opt
         this, best = alg * best_opt, best_alg * opt
-        if this > best or (this == best and units < best_ints):
-            best_alg, best_opt, best_ints, best_times = alg, opt, units, times
+        if this > best or (this == best and units < best_units):
+            best_alg, best_opt, best_units = alg, opt, units
         if under * alg > over * opt:
-            violations.append((times, Fraction(alg, opt)))
-    return stop - start, (-Fraction(best_alg, best_opt), best_times), violations
+            violations.append((tuple(map(value_of, units)), Fraction(alg, opt)))
+    return stop - start, (-Fraction(best_alg, best_opt), tuple(map(value_of, best_units))), violations
 
 
 def verify_bound(
@@ -211,6 +211,7 @@ def verify_bound(
     if n_max < 1:
         raise InvalidParam(f"n_max must be >= 1, got {n_max}")
     values = _check_values(values)
+    reject_float(target_bound, "target bound")
     if target_bound < 1:
         raise InvalidParam(f"target bound must be >= 1, got {target_bound}")
     target_bound = Fraction(target_bound)

@@ -32,7 +32,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
 
-from .core import Instance, Rational, SchedulingError, check_machine_count, scaled_ints
+from .core import Instance, Rational, SchedulingError, check_machine_count, reject_float, scaled_ints
 
 DEFAULT_STATE_CAP = 5_000_000
 
@@ -52,10 +52,6 @@ class CapacityExceeded(SchedulingError):
     """
 
 
-def _past_cap(state_cap: int) -> CapacityExceeded:
-    return CapacityExceeded(f"DP table grew past {state_cap} states; use smaller values or raise the cap")
-
-
 class ZeroOpt(SchedulingError):
     """Competitive ratio against a zero optimum is undefined."""
 
@@ -66,7 +62,7 @@ class OptResult:
     witness_assignment: dict[int, int]
 
 
-def _dp_two(ints: list[int], state_cap: int) -> int:
+def _dp_two(ints: list[int], state_cap: int) -> int | None:
     """Best makespan from the reachable M1 loads, kept as one bitset.
 
     A run of c jobs of time a is shifted in as the parts a, 2a, 4a, ... and
@@ -74,7 +70,7 @@ def _dp_two(ints: list[int], state_cap: int) -> int:
     the run costs O(log c) shifts.  Parts go smallest first.  After each
     part the bitset has one bit per M1 load from 0 to the work so far;
     ``state_cap`` bounds these bits over all layers together, so it bounds
-    the shift work, not only the final width.
+    the shift work, not only the final width, and past it the answer is None.
     """
     ints = sorted(ints)
     parts = []
@@ -92,7 +88,7 @@ def _dp_two(ints: list[int], state_cap: int) -> int:
         i = j
     parts.sort()
     if sum(accumulate(parts, initial=1)) > state_cap:
-        raise _past_cap(state_cap)
+        return None
     reach = 1  # bit s set <=> load s on M1 is reachable
     for a in parts:
         reach |= reach << a
@@ -113,8 +109,8 @@ def _children(loads: tuple[int, ...], a: int) -> list[tuple[int, ...]]:
     return children
 
 
-def _dp_sorted(ints: list[int], m: int, state_cap: int) -> int:
-    """Minimum top load over every reachable ascending load tuple, one layer at a time."""
+def _dp_sorted(ints: list[int], m: int, state_cap: int) -> int | None:
+    """Least top load over all reachable ascending load tuples, layer by layer; None past the cap."""
     check_machine_count(m)
     layer = {(0,) * m}
     stored = 1
@@ -124,7 +120,7 @@ def _dp_sorted(ints: list[int], m: int, state_cap: int) -> int:
             nxt.update(_children(loads, a))
         stored += len(nxt)
         if stored > state_cap:
-            raise _past_cap(state_cap)
+            return None
         layer = nxt
     return min(loads[-1] for loads in layer)
 
@@ -135,14 +131,6 @@ def _lpt_makespan(ints: list[int], m: int) -> int:
     for a in sorted(ints, reverse=True):
         heapq.heapreplace(loads, loads[0] + a)
     return max(loads)
-
-
-def _table_value(ints: list[int], m: int, state_cap: int) -> int | None:
-    """The optimum from the m = 2 bitset or the m >= 3 DP, or None if it would pass ``state_cap``."""
-    try:
-        return _dp_two(ints, state_cap) if m == 2 else _dp_sorted(ints, m, state_cap)
-    except CapacityExceeded:
-        return None
 
 
 def _witness_search(
@@ -200,7 +188,9 @@ def _witness_search(
             dead.add(tuple(sorted(loads)))
             stored += 1
             if stored > state_cap:
-                raise _past_cap(state_cap)
+                raise CapacityExceeded(
+                    f"DP table grew past {state_cap} states; use smaller values or raise the cap"
+                )
             if not machines:
                 return None
             j = machines.pop()
@@ -250,7 +240,7 @@ def optimal_makespan_value(
     instances as ``optimal_makespan``.
     """
     ints, unit, scale = _coprime_ints(instance)
-    best = _table_value(ints, machine_count, state_cap)
+    best = _dp_two(ints, state_cap) if machine_count == 2 else _dp_sorted(ints, machine_count, state_cap)
     if best is None:
         best = _witness_search(ints, machine_count, state_cap)[0]
     return Fraction(best * unit, scale)
@@ -283,7 +273,7 @@ def optimal_makespan(
     assignments in lexicographic order returns.
     """
     ints, unit, scale = _coprime_ints(instance)
-    optimum = _table_value(ints, 2, state_cap) if machine_count == 2 else None
+    optimum = _dp_two(ints, state_cap) if machine_count == 2 else None
     best, machines = _witness_search(ints, machine_count, state_cap, optimum)
     return OptResult(Fraction(best * unit, scale), {i: m for i, m in enumerate(machines, 1)})
 
@@ -296,6 +286,8 @@ def opt_lower_bound(instance: Instance, machine_count: int) -> Rational:
 
 def competitive_ratio(alg_makespan: Rational, opt_makespan: Rational) -> Rational:
     """Exact ratio of an algorithm's makespan to the optimum (no additive slack)."""
+    reject_float(alg_makespan, "ALG makespan")
+    reject_float(opt_makespan, "OPT makespan")
     if opt_makespan <= 0:
         raise ZeroOpt(f"optimal makespan must be positive, got {opt_makespan}")
     return Fraction(alg_makespan) / opt_makespan

@@ -123,6 +123,12 @@ def test_play_theorem1_rejects_too_short_games():
         play_theorem4(SchedulerId.TWO_LA1)
 
 
+def test_play_theorem1_rejects_a_float_x():
+    # Fraction(0.1) would play x = 3602879701896397/36028797018963968
+    with pytest.raises(TypeError, match="x is a float; pass Fraction or int"):
+        play_theorem1(SchedulerId.LS, 5, 1, 0.1)
+
+
 # ratios frozen from the closed-form prefix analysis: after 3j equal jobs the
 # two-machine lookahead policy holds loads (2j, j), so the final value lands
 # in case 1 and the whole game is n unit jobs; LS balances and lands in case 2

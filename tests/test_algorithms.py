@@ -15,7 +15,7 @@ from lasched import (
     three_la1_schedule,
     two_la1_schedule,
 )
-from lasched.algorithms import BudgetCascade, _drive, _policy_view
+from lasched.algorithms import BudgetCascade, _chooser, _drive
 from lasched.core import scaled_ints
 from reference_policies import LoadConstant, reference_choose, three_la1_admit, two_la1_admit
 
@@ -279,21 +279,23 @@ resumable_times = st.one_of(positive_fractions, st.sampled_from([F(7, 2), F(4), 
 @given(data=st.data())
 def test_a_resumed_drive_matches_a_fresh_run(policy, m, k, data):
     # run one instance, then resume a second one that shares its first
-    # `shared` values at step max(0, shared - k), as the verify scan does
+    # `shared` values at step max(0, shared - k), as the verify scan does;
+    # every policy is driven on integer loads, whatever _chooser shows it
     policy = policy_for(policy)
     first = data.draw(st.lists(resumable_times, min_size=1, max_size=8))
     n = len(first)
     shared = data.draw(st.integers(0, n))
     second = first[:shared] + data.draw(st.lists(resumable_times, min_size=n - shared, max_size=n - shared))
     ints, scale = scaled_ints(first + second)
-    states, decisions = None, []
-    for times, units, step in ((first, ints[:n], 0), (second, ints[n:], max(0, shared - k))):
-        seen, zero, unit = _policy_view(policy, times, units, scale)
-        states = states or [(zero,) * m]
-        _drive(policy.choose, seen, k, states, decisions, step)
+    choose = _chooser(policy, scale)
+    states, decisions = [(0,) * m], []
+    for units, step in ((ints[:n], 0), (ints[n:], max(0, shared - k))):
+        _drive(choose, tuple(units), k, states, decisions, step)
+        assert all(type(state) is tuple for state in states)
+        assert all(type(load) is int for state in states for load in state)
     fresh = run_policy(make_instance(second), policy, m, k)
     assert tuple(decisions) == fresh.decisions
-    assert tuple(F(load * unit, scale) for load in states[-1]) == fresh.loads
+    assert tuple(F(load, scale) for load in states[-1]) == fresh.loads
     assert len(states) == n + 1
 
 

@@ -205,6 +205,25 @@ def test_verify_bound_makes_each_decision_once_per_distinct_prefix():
     assert dataclasses.replace(report, policy=plain.policy) == plain
 
 
+def test_verify_bound_shows_any_other_policy_the_fractions():
+    # the scan holds integer loads, but a policy outside the cascade sees
+    # the grid's own Fractions in every load and window
+    policy = LoadConstant()
+    choose, windows = policy.choose, []
+
+    def recorded(loads, window):
+        windows.append(window)
+        return choose(loads, window)
+
+    policy.choose = recorded
+    values = (F(7, 2), F(4), F(7), F(11))
+    verify_bound(policy, 3, 1, 4, values, F(4, 3), jobs=1)
+    assert windows and len(policy.seen) == len(windows)
+    assert all(type(load) is F for loads in policy.seen for load in loads)
+    assert all(type(p) is F for window in windows for p in (window.current, *window.future))
+    assert {window.current for window in windows} == set(values)
+
+
 def test_verify_bound_calls_the_oracle_once_per_multiset(monkeypatch):
     oracle = harness.optimal_makespan_value
     seen = []
@@ -278,6 +297,12 @@ def test_verify_bound_rejects_duplicate_values(values):
 def test_verify_bound_rejects_a_bound_below_one(bound):
     with pytest.raises(InvalidParam, match=f"target bound must be >= 1, got {bound}$"):
         verify_bound(SchedulerId.LS, 2, 0, 2, VALUES_123, bound)
+
+
+def test_verify_bound_rejects_a_float_bound():
+    # Fraction(1.4) would check against 3152519739159347/2251799813685248
+    with pytest.raises(TypeError, match="target bound is a float; pass Fraction or int"):
+        verify_bound(SchedulerId.LS, 2, 0, 2, VALUES_123, 1.4)
 
 
 def test_verify_bound_argmax_prefers_lexicographically_smallest():

@@ -70,15 +70,14 @@ def test_capacity_exceeded():
     # no path has a scaled-total cap
     assert optimal_makespan_value(make_instance([30000]), 2) == 30000
     assert optimal_makespan(make_instance([30000]), 2).makespan == 30000
-    # the m = 2 bitset shifts ten unit jobs in as the parts 1, 2, 3, 4:
-    # layers of 1, 2, 4, 7 and 11 bits, 25 in all
-    with pytest.raises(CapacityExceeded, match="past 24 states"):
-        oracle._dp_two([1] * 10, state_cap=24)
+    # the tables decline past their cap (None) and only the witness search
+    # raises; the m = 2 bitset shifts ten unit jobs in as the parts 1, 2, 3,
+    # 4: layers of 1, 2, 4, 7 and 11 bits, 25 in all
+    assert oracle._dp_two([1] * 10, state_cap=24) is None
     assert oracle._dp_two([1] * 10, state_cap=25) == 5
     # 3000 distinct times: the last layer fits in the cap, all layers do not,
-    # so the bitset raises before it shifts anything
-    with pytest.raises(CapacityExceeded, match="past 5000000 states"):
-        oracle._dp_two(list(range(1, 3001)), state_cap=5_000_000)
+    # so the bitset declines before it shifts anything
+    assert oracle._dp_two(list(range(1, 3001)), state_cap=5_000_000) is None
     # past the bitset's cap both m = 2 paths fall back to the search's
     # lower-bound probe, so the value path answers what the witness path does
     for times in (range(1, 1001), range(1, 3001)):
@@ -108,8 +107,10 @@ def test_capacity_exceeded():
     with pytest.raises(CapacityExceeded, match="past 479 states"):
         optimal_makespan_value(instance, 3, state_cap=479)
     assert optimal_makespan_value(instance, 3, state_cap=480) == 77
-    with pytest.raises(CapacityExceeded, match="past 1 states"):
-        oracle._dp_sorted([1] * 30, 3, state_cap=1)
+    # the m = 3 DP's layers over thirty unit jobs hold the partitions of
+    # 0..30 into at most three parts, 1041 load tuples in all
+    assert oracle._dp_sorted([1] * 30, 3, state_cap=1040) is None
+    assert oracle._dp_sorted([1] * 30, 3, state_cap=1041) == 10
     assert optimal_makespan_value(make_instance([1] * 30), 3, state_cap=1) == 10
 
 
@@ -243,6 +244,14 @@ def test_competitive_ratio_examples():
     assert competitive_ratio(F(7), F(7)) == 1
     with pytest.raises(ZeroOpt):
         competitive_ratio(F(1), F(0))
+
+
+def test_competitive_ratio_rejects_floats():
+    # a float OPT would turn the exact ratio into the float 1.5
+    with pytest.raises(TypeError, match="OPT makespan is a float; pass Fraction or int"):
+        competitive_ratio(F(3), 2.0)
+    with pytest.raises(TypeError, match="ALG makespan is a float"):
+        competitive_ratio(3.0, F(2))
 
 
 def test_dp_matches_exhaustive_small_space():
