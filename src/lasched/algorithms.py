@@ -12,8 +12,9 @@ other policy the equal Fractions.  One loop, ``_drive``, makes the
 decisions: it runs the steps after a stored load state and records the loads
 after each step, so ``run_policy`` runs it from the start and the verify
 scan resumes it where an instance stops sharing its prefix with the one
-before.  A trace stores the decisions and the integer loads, and builds its
-Fractions on read.
+before.  It looks each (loads, revealed values) up in a move table first,
+so a policy is asked each question at most once per table.  A trace stores
+the decisions and the integer loads, and builds its Fractions on read.
 """
 
 from __future__ import annotations
@@ -52,12 +53,6 @@ class DecisionRecord:
     loads: tuple[Rational, ...]
 
 
-def _windows(times: tuple, lookahead: int, start: int = 0):
-    """Each job's lookahead window in turn, from job start + 1 on: its own
-    time and the next few."""
-    return (LookaheadWindow(times[i], times[i + 1 : i + 1 + lookahead]) for i in range(start, len(times)))
-
-
 @dataclass(frozen=True)
 class DecisionTrace:
     """One policy run over a non-empty instance, stored as its decisions.
@@ -65,9 +60,9 @@ class DecisionTrace:
     It keeps the processing times and the lookahead of the run, the machine
     chosen for each job, and the final loads as integers over ``scale``, the
     lcm of the times' denominators.  ``loads``, ``makespan`` and ``records``
-    are built as Fractions on each read; ``records`` replays the windows
-    through the helper ``_drive`` builds them with, so each record
-    holds what was revealed at that step, in the instance's own units.
+    are built as Fractions on each read; ``records`` replays the decisions
+    through ``_drive``, so each record holds the window that was revealed at
+    that step, built by the one rule, in the instance's own units.
     """
 
     times: tuple[Rational, ...]
@@ -86,12 +81,17 @@ class DecisionTrace:
 
     @property
     def records(self) -> tuple[DecisionRecord, ...]:
-        loads = [Fraction(0)] * len(self.scaled_loads)
-        records = []
-        for window, machine in zip(_windows(self.times, self.lookahead), self.decisions):
-            loads[machine - 1] += window.current
-            records.append(DecisionRecord(window, machine, tuple(loads)))
-        return tuple(records)
+        decisions, windows = iter(self.decisions), []
+
+        def replay(loads, window):
+            windows.append(window)
+            return next(decisions)
+
+        # every time is positive, so the loads grow at each step and no key
+        # of the fresh move table repeats: replay sees every step
+        states = [(Fraction(0),) * len(self.scaled_loads)]
+        _drive(replay, {}, self.times, self.lookahead, states, [])
+        return tuple(map(DecisionRecord, windows, self.decisions, states[1:]))
 
 
 class OnlinePolicy(Protocol):
@@ -99,8 +99,9 @@ class OnlinePolicy(Protocol):
 
     ``choose`` must be a pure function of (loads, window): the same loads and
     window give the same machine, whatever was asked before.  Verification
-    relies on it, since instances that share a prefix share the decisions
-    made on it, and each chunk of the scan makes them once.
+    relies on it: each worker of the scan asks ``choose`` once per distinct
+    (loads, window) and reuses the answer for every instance of every
+    length that reaches them again.
     """
 
     scheduler_id: SchedulerId | None
@@ -204,7 +205,9 @@ def _chooser(policy: OnlinePolicy, scale: int):
     return shown
 
 
-def _drive(choose, units: tuple, lookahead: int, states: list, decisions: list, step: int = 0) -> None:
+def _drive(
+    choose, moves: dict, units: tuple, lookahead: int, states: list, decisions: list, step: int = 0
+) -> None:
     """Run steps step + 1..n of a ``_chooser`` over units, from the loads after step.
 
     ``states[i]`` holds the integer loads after step i (``states[0]`` the
@@ -212,13 +215,29 @@ def _drive(choose, units: tuple, lookahead: int, states: list, decisions: list, 
     cut back to step and extended to n.  Decision i depends only on the
     first i + lookahead values, so a run over values that share their first
     d with the stored run's may resume at step max(0, d - lookahead).
+
+    ``moves`` is the move table: it maps (loads, revealed values) to
+    (machine, loads after), and the loads after are the very tuple that
+    ``states`` stores.  A step whose key is in it makes no ``choose`` call
+    and builds no window; a new key asks ``choose`` once.  ``choose`` is a
+    pure function of loads and window, so an entry holds for every run
+    whose units share one scale.  ``_drive`` is the one place that builds
+    a window, for every run and every trace's records.
     """
     del states[step + 1 :], decisions[step:]
-    loads = list(states[step])
-    for window in _windows(units, lookahead, step):
-        machine = choose(states[-1], window)
-        loads[machine - 1] += window.current
-        states.append(tuple(loads))
+    loads = states[step]
+    for i in range(step, len(units)):
+        # job i + 1 reveals its own value and the next lookahead ones
+        revealed = units[i : i + 1 + lookahead]
+        key = loads, revealed
+        move = moves.get(key)
+        if move is None:
+            machine = choose(loads, LookaheadWindow(revealed[0], revealed[1:]))
+            after = list(loads)
+            after[machine - 1] += revealed[0]
+            move = moves[key] = machine, tuple(after)
+        machine, loads = move
+        states.append(loads)
         decisions.append(machine)
 
 
@@ -237,7 +256,7 @@ def run_policy(
     times = instance.processing_times
     ints, scale = scaled_ints(times)
     states, decisions = [(0,) * machine_count], []
-    _drive(_chooser(policy, scale), tuple(ints), lookahead, states, decisions)
+    _drive(_chooser(policy, scale), {}, tuple(ints), lookahead, states, decisions)
     return DecisionTrace(times, lookahead, tuple(decisions), states[-1], scale)
 
 

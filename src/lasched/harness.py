@@ -1,8 +1,9 @@
 """Experiment execution: single runs, exhaustive verification, CSV output.
 
 verify_bound enumerates every instance over a bounded space, scores each one
-against the exact oracle, and reports the maximum ratio plus every instance
-exceeding the target bound.  Violations are findings, not failures: the run
+against the exact oracle (or against a lower bound on OPT, where that alone
+shows the instance is neither a violation nor the maximum), and reports the
+maximum ratio plus every instance exceeding the target bound.  Violations are findings, not failures: the run
 always completes and the report carries the evidence.
 """
 
@@ -111,80 +112,107 @@ def enumerate_instances(
         yield Instance(times)
 
 
+def _lower_bound(key: tuple[int, ...], m: int) -> int:
+    """max(p_max, ceil(T/m), p_(m) + p_(m+1)) of an ascending integer multiset,
+    where p_(j) is its j-th largest value: OPT is an integer at least this
+    (two of the m + 1 largest jobs share a machine)."""
+    bound = max(key[-1], -(-sum(key) // m))
+    if len(key) > m:
+        bound = max(bound, key[-m] + key[-m - 1])
+    return bound
+
+
 def _scan_chunk(
     policy: OnlinePolicy,
     m: int,
     k: int,
-    n: int,
     values: tuple[Rational, ...],
-    start: int,
-    stop: int,
+    ranges: Sequence[tuple[int, int, int]],
     bound: Rational,
 ):
-    """Score one contiguous index range of the length-n enumeration.
+    """Score one worker's share: the index range [start, stop) of the
+    length-n enumeration for each (n, start, stop) in ranges.
 
-    The chunk scales verify_bound's checked Fractions once to integers over
+    The share scales verify_bound's checked Fractions once to integers over
     the lcm of their denominators and iterates that one integer grid,
-    driving the policy through ``_chooser`` as ``run_policy`` does.  It
-    keeps the loads after each step of the previous instance.  Decision i
-    depends only on the first i + k values, and in lexicographic order an
-    instance shares all but its last t + 1 values with the one before, where
-    t counts the trailing zero base-|values| digits of its index; so
-    ``_drive`` resumes each instance at step max(0, n - t - 1 - k) and every
-    decision is made once per distinct prefix.  The first instance of a
-    chunk runs from step 0, so the result is the same for any chunking.  The
-    policy was checked once by verify_bound; the scan makes no per-instance
-    check or scaling.  ALG is the largest final load, in grid units.
+    driving the policy through ``_chooser`` and ``_drive`` as ``run_policy``
+    does, with one move table for the whole share: ``choose`` is asked at
+    most once per distinct (loads, window), whatever the length.  Within a
+    range the share keeps the loads after each step of the previous
+    instance.  Decision i depends only on the first i + k values, and in
+    lexicographic order an instance shares all but its last t + 1 values
+    with the one before, where t counts the trailing zero base-|values|
+    digits of its index; so ``_drive`` resumes each instance at step
+    max(0, n - t - 1 - k).  The first instance of a range runs from step 0
+    through the table, so the result is the same for any split.  The policy
+    was checked once by verify_bound; the scan makes no per-instance check
+    or scaling.  ALG is the largest final load, in grid units.
 
-    OPT depends only on the multiset of processing times, so it is computed
-    once per sorted integer tuple in the chunk, always on the sorted order:
-    the oracle divides by the gcd, so a capacity error depends on the
-    multiset alone, never on which ordering the chunk met first.  Ratios
-    are compared with each other and with the bound by cross-multiplying
-    integers, and ordering integer tuples orders the instances by value, as
-    scaling keeps order.
+    OPT depends only on the multiset of processing times, so the share keys
+    one table on sorted integer tuples.  It first caches the lower bound
+    ``_lower_bound`` of each multiset and asks the oracle only when that
+    bound cannot settle the instance: when bound * LB < ALG (it may be a
+    violation) or ALG/LB is at least the share's best exact ratio so far (it
+    may be the argmax, ties included).  Otherwise ALG/OPT <= ALG/LB is below
+    both, so skipping the oracle changes nothing.  The oracle runs once per
+    multiset at most, always on the sorted order: it divides by the gcd, so
+    a capacity error depends on the multiset alone, never on which ordering
+    the share met first, and it is raised only for a multiset the scan had
+    to ask for.  Ratios are compared with each other and with the bound by
+    cross-multiplying integers, and ordering integer tuples orders the
+    instances by value, as scaling keeps order.
 
     Returns (checked, best, violations), where best is the least
     (-ratio, times) pair: the largest ratio, ties broken towards the
-    lexicographically smallest instance.  A value dict maps integers back
-    to the checked Fractions only for these, the oracle's instance and a
-    capacity error's label.
+    lexicographically smallest instance; each violation is
+    ((n, index), times, ratio), so the shares merge in enumeration order.
+    A value dict maps integers back to the checked Fractions only for these,
+    the oracle's instance and a capacity error's label.
     Picklable arguments only (a BudgetCascade pickles), so verification can
     fan out across processes.
     """
     ints, scale = scaled_ints(values)
     value_of = dict(zip(ints, values)).__getitem__
-    choose, base = _chooser(policy, scale), len(values)
-    states, decisions = [(0,) * m], []
+    choose, base, moves = _chooser(policy, scale), len(values), {}
     over, under = bound.numerator, bound.denominator
     # 0/1 is below every ratio, so the first instance always replaces it
     best_alg, best_opt, best_units = 0, 1, None
-    violations: list[tuple[tuple[Rational, ...], Rational]] = []
+    violations: list[tuple[tuple[int, int], tuple[Rational, ...], Rational]] = []
     opts: dict[tuple[int, ...], int] = {}
-    for index, units in enumerate(_grid(n, ints, start, stop), start):
-        shared = 0  # leading values shared with the previous instance
-        if index > start:
-            shared, wrapped = n - 1, index
-            while wrapped % base == 0:
-                wrapped //= base
-                shared -= 1
-        _drive(choose, units, k, states, decisions, max(0, shared - k))
-        key = tuple(sorted(units))
-        opt = opts.get(key)
-        if opt is None:
-            try:
-                value = optimal_makespan_value(Instance(tuple(map(value_of, key))), m)
-            except CapacityExceeded as exc:
-                raise CapacityExceeded(f"{exc} (instance {inline_label(map(value_of, units))})") from exc
-            opt = opts[key] = value.numerator * (scale // value.denominator)
-        alg = max(states[-1])
-        # alg/opt and best_alg/best_opt, both multiplied by opt * best_opt
-        this, best = alg * best_opt, best_alg * opt
-        if this > best or (this == best and units < best_units):
-            best_alg, best_opt, best_units = alg, opt, units
-        if under * alg > over * opt:
-            violations.append((tuple(map(value_of, units)), Fraction(alg, opt)))
-    return stop - start, (-Fraction(best_alg, best_opt), tuple(map(value_of, best_units))), violations
+    lower_bounds: dict[tuple[int, ...], int] = {}
+    for n, start, stop in ranges:
+        states, decisions = [(0,) * m], []
+        for index, units in enumerate(_grid(n, ints, start, stop), start):
+            shared = 0  # leading values shared with the previous instance
+            if index > start:
+                shared, wrapped = n - 1, index
+                while wrapped % base == 0:
+                    wrapped //= base
+                    shared -= 1
+            _drive(choose, moves, units, k, states, decisions, max(0, shared - k))
+            alg = max(states[-1])
+            key = tuple(sorted(units))
+            opt = opts.get(key)
+            if opt is None:
+                lower = lower_bounds.get(key)
+                if lower is None:
+                    lower = lower_bounds[key] = _lower_bound(key, m)
+                # OPT >= LB: neither a violation nor the best so far, whatever OPT is
+                if under * alg <= over * lower and alg * best_opt < best_alg * lower:
+                    continue
+                try:
+                    value = optimal_makespan_value(Instance(tuple(map(value_of, key))), m)
+                except CapacityExceeded as exc:
+                    raise CapacityExceeded(f"{exc} (instance {inline_label(map(value_of, units))})") from exc
+                opt = opts[key] = value.numerator * (scale // value.denominator)
+            # alg/opt and best_alg/best_opt, both multiplied by opt * best_opt
+            this, best = alg * best_opt, best_alg * opt
+            if this > best or (this == best and units < best_units):
+                best_alg, best_opt, best_units = alg, opt, units
+            if under * alg > over * opt:
+                violations.append(((n, index), tuple(map(value_of, units)), Fraction(alg, opt)))
+    checked = sum(stop - start for _, start, stop in ranges)
+    return checked, (-Fraction(best_alg, best_opt), tuple(map(value_of, best_units))), violations
 
 
 def verify_bound(
@@ -200,11 +228,13 @@ def verify_bound(
     with processing times drawn from the value set.
 
     Never aborts on a violation; every instance exceeding the bound is
-    collected into the report.  Each chunk computes OPT once per sorted
-    multiset of processing times.  The result is identical for any worker
-    count: the chunks' counts add, their violations concatenate in
-    enumeration order, and the report's argmax is the least of the chunks'
-    best pairs, so ties break as they do within a chunk.
+    collected into the report.  Each length's enumeration is split into
+    jobs index ranges, and worker w scans its range of every length as one
+    task, so its move table, its OPT table and its best ratio so far serve
+    all lengths; a worker with no instance gets no task.  The result is
+    identical for any worker count: the tasks' counts add, their violations
+    merge in (n, index) order, and the report's argmax is the least of the
+    tasks' best pairs, so ties break as they do within a task.
     """
     policy = policy_for(policy)
     check_policy(policy, m, k)
@@ -218,12 +248,13 @@ def verify_bound(
     if jobs < 1:
         raise InvalidParam(f"worker count must be >= 1, got {jobs}")
 
-    tasks = []
+    shares: dict[int, list[tuple[int, int, int]]] = {}
     for n in range(1, n_max + 1):
         total = len(values) ** n
         chunk = -(-total // jobs)  # ceil division
-        for start in range(0, total, chunk):
-            tasks.append((policy, m, k, n, values, start, min(start + chunk, total), target_bound))
+        for worker, start in enumerate(range(0, total, chunk)):
+            shares.setdefault(worker, []).append((n, start, min(start + chunk, total)))
+    tasks = [(policy, m, k, values, ranges, target_bound) for ranges in shares.values()]
 
     if jobs == 1:
         results = [_scan_chunk(*task) for task in tasks]
@@ -232,12 +263,14 @@ def verify_bound(
         from concurrent.futures import ProcessPoolExecutor
 
         # a fork-started pool launches every worker at once, so no more than
-        # the CPUs can use; chunking still follows jobs
-        workers = min(jobs, len(tasks), os.cpu_count() or 1)
+        # the CPUs can use: min(jobs, tasks, CPUs), and tasks <= jobs
+        workers = min(len(tasks), os.cpu_count() or 1)
         with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_scan_chunk, *zip(*tasks)))
 
     neg_ratio, best_values = min(best for _, best, _ in results)
+    # (n, index) is unique, so the sort never compares further
+    found = sorted(violation for *_, violations in results for violation in violations)
     return VerificationReport(
         policy=policy,
         m=m,
@@ -247,7 +280,7 @@ def verify_bound(
         instances_checked=sum(count for count, _, _ in results),
         max_ratio=-neg_ratio,
         argmax_instance=make_instance(best_values),
-        violations=tuple((make_instance(v), r) for _, _, found in results for v, r in found),
+        violations=tuple((make_instance(v), r) for _, v, r in found),
         target_bound=target_bound,
     )
 

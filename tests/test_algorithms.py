@@ -279,8 +279,9 @@ resumable_times = st.one_of(positive_fractions, st.sampled_from([F(7, 2), F(4), 
 @given(data=st.data())
 def test_a_resumed_drive_matches_a_fresh_run(policy, m, k, data):
     # run one instance, then resume a second one that shares its first
-    # `shared` values at step max(0, shared - k), as the verify scan does;
-    # every policy is driven on integer loads, whatever _chooser shows it
+    # `shared` values at step max(0, shared - k), as the verify scan does,
+    # through one move table; every policy is driven on integer loads,
+    # whatever _chooser shows it
     policy = policy_for(policy)
     first = data.draw(st.lists(resumable_times, min_size=1, max_size=8))
     n = len(first)
@@ -288,9 +289,9 @@ def test_a_resumed_drive_matches_a_fresh_run(policy, m, k, data):
     second = first[:shared] + data.draw(st.lists(resumable_times, min_size=n - shared, max_size=n - shared))
     ints, scale = scaled_ints(first + second)
     choose = _chooser(policy, scale)
-    states, decisions = [(0,) * m], []
+    states, decisions, moves = [(0,) * m], [], {}
     for units, step in ((ints[:n], 0), (ints[n:], max(0, shared - k))):
-        _drive(choose, tuple(units), k, states, decisions, step)
+        _drive(choose, moves, tuple(units), k, states, decisions, step)
         assert all(type(state) is tuple for state in states)
         assert all(type(load) is int for state in states for load in state)
     fresh = run_policy(make_instance(second), policy, m, k)

@@ -1,4 +1,7 @@
+import os
 import shlex
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -305,9 +308,9 @@ FIXTURES = (
 
 
 # each run maps to (golden directory, command); two verify cases also run
-# through the process pool, which splits each length into two or three
-# chunks, each with its own OPT cache and prefix states resumed from step 0,
-# and must print the same bytes as one chunk per length
+# through the process pool, which gives each of two or three workers its
+# range of every length as one task, with its own move and OPT tables, and
+# must print the same bytes as one task
 GOLDEN_RUNS = {case: (case, command) for case, command in GOLDEN_COMMANDS.items()}
 GOLDEN_RUNS.update(
     {
@@ -333,3 +336,15 @@ def test_cli_bytes_match_golden(capsys, tmp_path, monkeypatch, case):
         path.name: path.read_bytes() for path in tmp_path.iterdir() if path.name not in FIXTURES
     }
     assert written == expected
+
+
+def test_python_m_lasched_runs_the_cli(tmp_path):
+    # `python -m lasched` from the source tree, with no install
+    src = Path(lasched.__file__).resolve().parent.parent
+    result = subprocess.run(
+        [sys.executable, "-m", "lasched", *shlex.split(GOLDEN_COMMANDS["verify_3la1_n6"])],
+        capture_output=True, cwd=tmp_path, env={**os.environ, "PYTHONPATH": str(src)}, timeout=120,
+    )
+    assert result.returncode == 2
+    assert result.stdout == (GOLDEN / "verify_3la1_n6" / "stdout").read_bytes()
+    assert result.stderr == (GOLDEN / "verify_3la1_n6" / "stderr").read_bytes()

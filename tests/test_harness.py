@@ -4,9 +4,11 @@ from fractions import Fraction as F
 from math import comb
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import lasched.harness as harness
 from lasched.algorithms import BudgetCascade
+from brute_force import exhaustive_optimal_makespan
 from reference_policies import LoadConstant
 from lasched import (
     CSV_HEADER,
@@ -23,6 +25,7 @@ from lasched import (
     policy_for,
     report_rows,
     run_one,
+    run_policy,
     verify_bound,
 )
 
@@ -183,24 +186,68 @@ def test_verify_bound_equals_uncached_reference(scheduler, m, k, values, bound, 
     assert [(inst.processing_times, r) for inst, r in report.violations] == violations
 
 
-def test_verify_bound_makes_each_decision_once_per_distinct_prefix():
-    # the benchmark's tracer wraps choose on the policy itself; decision i
-    # depends on the first i + k values, so a chunk calls choose once per
-    # distinct prefix of that length and never reruns a whole instance
-    policy = dataclasses.replace(policy_for(SchedulerId.THREE_LA1))
-    choose = policy.choose
-    calls = []
+def _summary(report):
+    """A report in the form _uncached_report gives."""
+    violations = [(instance.processing_times, ratio) for instance, ratio in report.violations]
+    return report.instances_checked, report.max_ratio, report.argmax_instance.processing_times, violations
+
+
+@pytest.mark.parametrize("jobs", [3, 4])
+@pytest.mark.parametrize(
+    "scheduler,m,k,bound",
+    [(SchedulerId.TWO_LA1, 2, 1, F(5, 4)), (SchedulerId.THREE_LA1, 3, 1, F(5, 4)), (SchedulerId.LS, 2, 0, F(4, 3))],
+)
+def test_verify_bound_equals_uncached_reference_when_shares_span_lengths(scheduler, m, k, bound, jobs):
+    # two values: lengths 1 and 2 have fewer instances than workers, so each
+    # task spans several lengths, and some shares of the short ones are empty
+    values = (F(1), F(2))
+    expected = _uncached_report(scheduler, m, k, 5, values, bound)
+    assert expected[3]
+    assert _summary(verify_bound(scheduler, m, k, 5, values, bound, jobs=jobs)) == expected
+
+
+@pytest.mark.parametrize("jobs", [1, 3])
+@settings(max_examples=15, deadline=None)
+@given(
+    unit=st.builds(F, st.integers(1, 9), st.integers(2, 7)),
+    multiples=st.lists(st.integers(1, 4), min_size=1, max_size=3, unique=True),
+    n_max=st.integers(1, 4),
+    bound=st.sampled_from([F(1), F(5, 4), F(4, 3)]),
+)
+def test_verify_bound_equals_uncached_reference_on_random_grids(unit, multiples, n_max, bound, jobs):
+    # multiples of one fractional unit, in any order: many instances tie at
+    # the largest ratio, so the argmax rests on the tie-break
+    values = tuple(unit * j for j in multiples)
+    expected = _uncached_report(SchedulerId.LS, 2, 0, n_max, values, bound)
+    assert _summary(verify_bound(SchedulerId.LS, 2, 0, n_max, values, bound, jobs=jobs)) == expected
+
+
+def _counting(policy):
+    """A copy of a built-in policy whose choose records every (loads, window) it is asked."""
+    policy = dataclasses.replace(policy_for(policy))
+    choose, calls = policy.choose, []
 
     def counted(loads, window):
         calls.append((loads, window))
         return choose(loads, window)
 
     policy.choose = counted
+    return policy, calls
+
+
+def test_verify_bound_asks_each_distinct_question_once_per_task():
+    # the benchmark's tracer wraps choose on the policy itself; one task's
+    # move table serves every length, so choose sees each distinct
+    # (loads, window) at most once, and sees every one a plain run asks
+    policy, calls = _counting(SchedulerId.THREE_LA1)
     report = verify_bound(policy, 3, 1, 4, VALUES_123, F(16, 11), jobs=1)
     assert report.instances_checked == 3 + 9 + 27 + 81
-    k = 1
-    expected = sum(3 ** min(i + k, n) for n in range(1, 5) for i in range(1, n + 1))
-    assert len(calls) == expected == 282
+    assert len(calls) == len(set(calls)) == 182
+    fresh, asked = _counting(SchedulerId.THREE_LA1)
+    for n in range(1, 5):
+        for instance in enumerate_instances(n, VALUES_123):
+            run_policy(instance, fresh, 3, 1)
+    assert set(calls) == set(asked) and len(asked) > 182
     plain = verify_bound(SchedulerId.THREE_LA1, 3, 1, 4, VALUES_123, F(16, 11), jobs=1)
     assert dataclasses.replace(report, policy=plain.policy) == plain
 
@@ -224,19 +271,59 @@ def test_verify_bound_shows_any_other_policy_the_fractions():
     assert {window.current for window in windows} == set(values)
 
 
-def test_verify_bound_calls_the_oracle_once_per_multiset(monkeypatch):
-    oracle = harness.optimal_makespan_value
-    seen = []
+def _lower_bound(times, m):
+    """max(p_max, ceil(T/m), p_(m) + p_(m+1)) of integer times, written out
+    apart from the scan's own."""
+    ordered = sorted(times, reverse=True)
+    pair = ordered[m - 1] + ordered[m] if len(ordered) > m else 0
+    return max(ordered[0], -(-sum(ordered) // m), pair)
+
+
+def _oracle_calls(monkeypatch):
+    """The processing times of every oracle call the scan makes from now on."""
+    oracle, seen = harness.optimal_makespan_value, []
 
     def counted(instance, m):
         seen.append(instance.processing_times)
         return oracle(instance, m)
 
     monkeypatch.setattr(harness, "optimal_makespan_value", counted)
-    verify_bound(SchedulerId.THREE_LA1, 3, 1, 6, VALUES_123, F(16, 11))
-    assert len(seen) == sum(comb(n + 2, 2) for n in range(1, 7)) == 83
-    assert len(set(seen)) == 83
+    return seen
+
+
+def test_verify_bound_calls_the_oracle_once_per_multiset(monkeypatch):
+    seen = _oracle_calls(monkeypatch)
+    bound = F(16, 11)
+    report = verify_bound(SchedulerId.THREE_LA1, 3, 1, 6, VALUES_123, bound)
+    # the lower bound settles every other one of the 83 multisets
+    assert sum(comb(n + 2, 2) for n in range(1, 7)) == 83
+    assert len(seen) == len(set(seen)) == 26
     assert all(list(times) == sorted(times) for times in seen)
+    # every instance whose multiset was never asked can be neither a
+    # violation nor the argmax, by its ALG against its lower bound alone
+    asked, lower_bounds = set(seen), {}
+    for n in range(1, 7):
+        for instance in enumerate_instances(n, VALUES_123):
+            key = tuple(sorted(instance.processing_times))
+            if key in asked:
+                continue
+            if key not in lower_bounds:
+                lower_bounds[key] = _lower_bound(key, 3)
+                assert lower_bounds[key] <= exhaustive_optimal_makespan(make_instance(key), 3).makespan
+            alg = run_policy(instance, policy_for(SchedulerId.THREE_LA1), 3, 1).makespan
+            assert alg <= bound * lower_bounds[key]
+            assert alg / lower_bounds[key] < report.max_ratio
+    assert len(lower_bounds) == 83 - 26
+
+
+def test_verify_bound_asks_the_oracle_for_few_multisets_of_the_bench_grid(monkeypatch):
+    # the verify-m3 bench grid at jobs 1: the scan's running best lets the
+    # lower bound settle all but 102 of its multisets
+    seen = _oracle_calls(monkeypatch)
+    report = verify_bound(SchedulerId.THREE_LA1, 3, 1, 6, tuple(F(v) for v in range(1, 6)), F(16, 11))
+    assert sum(comb(n + 4, 4) for n in range(1, 7)) == 461
+    assert len(seen) == len(set(seen)) == 102
+    assert report.instances_checked == 19530 and len(report.violations) == 187
 
 
 def test_verify_bound_capacity_error_names_the_scanned_instance(monkeypatch):
@@ -274,12 +361,13 @@ class _SerialPool:
         return map(fn, *iterables)
 
 
-@pytest.mark.parametrize("cpus,workers", [(2, 2), (64, 14), (None, 1)])
+@pytest.mark.parametrize("cpus,workers", [(2, 2), (64, 8), (None, 1)])
 def test_verify_bound_caps_the_pool_size(monkeypatch, cpus, workers):
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _SerialPool)
     monkeypatch.setattr(harness.os, "cpu_count", lambda: cpus)
     monkeypatch.setattr(_SerialPool, "sizes", [])
-    # 2 + 4 + 8 tasks: one instance per chunk at jobs=5000
+    # at jobs=5000 worker w gets index w of every length: 8 non-empty
+    # shares, and min(jobs, tasks, CPUs) workers
     report = verify_bound(SchedulerId.TWO_LA1, 2, 1, 3, (F(1), F(2)), F(1), jobs=5000)
     assert _SerialPool.sizes == [workers]
     assert report == verify_bound(SchedulerId.TWO_LA1, 2, 1, 3, (F(1), F(2)), F(1))
