@@ -9,12 +9,14 @@ every load state is a tuple of ints.  Every admission inequality is
 homogeneous, so a budget cascade's ``choose`` takes those integers, and each
 comparison, ties included, keeps its truth value; ``_chooser`` shows any
 other policy the equal Fractions.  One loop, ``_drive``, makes the
-decisions: it runs the steps after a stored load state and records the loads
-after each step, so ``run_policy`` runs it from the start and the verify
-scan resumes it where an instance stops sharing its prefix with the one
-before.  It looks each (loads, revealed values) up in a move table first,
-so a policy is asked each question at most once per table.  A trace stores
-the decisions and the integer loads, and builds its Fractions on read.
+decisions: it runs the steps after a stored load state and keeps only the
+loads after each step, so ``run_policy`` runs it from the start and the
+verify scan resumes it where an instance stops sharing its prefix with the
+one before.  It looks each (loads, revealed values) up in a move table of
+loads after first, so a policy is asked each question at most once per
+table.  Every time is positive, so each decision is the one machine whose
+load grew.  A trace stores the decisions and the integer loads, and builds
+its Fractions on read.
 """
 
 from __future__ import annotations
@@ -90,7 +92,7 @@ class DecisionTrace:
         # every time is positive, so the loads grow at each step and no key
         # of the fresh move table repeats: replay sees every step
         states = [(Fraction(0),) * len(self.scaled_loads)]
-        _drive(replay, {}, self.times, self.lookahead, states, [])
+        _drive(replay, {}, self.times, self.lookahead, states)
         return tuple(map(DecisionRecord, windows, self.decisions, states[1:]))
 
 
@@ -205,40 +207,39 @@ def _chooser(policy: OnlinePolicy, scale: int):
     return shown
 
 
-def _drive(
-    choose, moves: dict, units: tuple, lookahead: int, states: list, decisions: list, step: int = 0
-) -> None:
+def _drive(choose, moves: dict, units: tuple, lookahead: int, states: list, step: int = 0) -> None:
     """Run steps step + 1..n of a ``_chooser`` over units, from the loads after step.
 
     ``states[i]`` holds the integer loads after step i (``states[0]`` the
-    empty machines) and ``decisions[i]`` the machine of job i + 1.  Both are
-    cut back to step and extended to n.  Decision i depends only on the
-    first i + lookahead values, so a run over values that share their first
-    d with the stored run's may resume at step max(0, d - lookahead).
+    empty machines); it is cut back to step and extended to n.  Decision i
+    depends only on the first i + lookahead values, so a run over values
+    that share their first d with the stored run's may resume at step
+    max(0, d - lookahead).  Every unit is positive, so the machine of job i
+    is the one whose load differs between ``states[i - 1]`` and
+    ``states[i]``.
 
-    ``moves`` is the move table: it maps (loads, revealed values) to
-    (machine, loads after), and the loads after are the very tuple that
-    ``states`` stores.  A step whose key is in it makes no ``choose`` call
-    and builds no window; a new key asks ``choose`` once.  ``choose`` is a
-    pure function of loads and window, so an entry holds for every run
-    whose units share one scale.  ``_drive`` is the one place that builds
-    a window, for every run and every trace's records.
+    ``moves`` is the move table: it maps (loads, revealed values) to the
+    loads after, the very tuple that ``states`` stores.  A step whose key
+    is in it makes no ``choose`` call and builds no window; a new key asks
+    ``choose`` once.  ``choose`` is a pure function of loads and window, so
+    an entry holds for every run whose units share one scale.  ``_drive`` is
+    the one place that builds a window, for every run and every trace's
+    records.
     """
-    del states[step + 1 :], decisions[step:]
+    del states[step + 1 :]
     loads = states[step]
     for i in range(step, len(units)):
         # job i + 1 reveals its own value and the next lookahead ones
         revealed = units[i : i + 1 + lookahead]
         key = loads, revealed
-        move = moves.get(key)
-        if move is None:
+        after = moves.get(key)
+        if after is None:
             machine = choose(loads, LookaheadWindow(revealed[0], revealed[1:]))
             after = list(loads)
             after[machine - 1] += revealed[0]
-            move = moves[key] = machine, tuple(after)
-        machine, loads = move
-        states.append(loads)
-        decisions.append(machine)
+            after = moves[key] = tuple(after)
+        states.append(after)
+        loads = after
 
 
 def run_policy(
@@ -250,14 +251,18 @@ def run_policy(
     arriving job; the trace replays exactly that, so tests can check it.
     A lookahead of 0 (the LS baseline) gives every window an empty future.
     The instance is scaled to integers once, and the policy sees what
-    ``_chooser`` shows it.
+    ``_chooser`` shows it.  Each decision is read off a pair of stored
+    states.
     """
     check_policy(policy, machine_count, lookahead)
     times = instance.processing_times
     ints, scale = scaled_ints(times)
-    states, decisions = [(0,) * machine_count], []
-    _drive(_chooser(policy, scale), {}, tuple(ints), lookahead, states, decisions)
-    return DecisionTrace(times, lookahead, tuple(decisions), states[-1], scale)
+    states = [(0,) * machine_count]
+    _drive(_chooser(policy, scale), {}, tuple(ints), lookahead, states)
+    # every time is positive: job i went to the one machine whose load grew
+    steps = zip(states, states[1:])
+    decisions = tuple([old != new for old, new in zip(*step)].index(True) + 1 for step in steps)
+    return DecisionTrace(times, lookahead, decisions, states[-1], scale)
 
 
 def ls_schedule(instance: Instance, machine_count: int) -> DecisionTrace:

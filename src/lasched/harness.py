@@ -2,9 +2,10 @@
 
 verify_bound enumerates every instance over a bounded space, scores each one
 against the exact oracle (or against a lower bound on OPT, where that alone
-shows the instance is neither a violation nor the maximum), and reports the
-maximum ratio plus every instance exceeding the target bound.  Violations are findings, not failures: the run
-always completes and the report carries the evidence.
+shows the instance is neither a violation nor the maximum, or where ALG
+meets it), and reports the maximum ratio plus every instance exceeding the
+target bound.  Violations are findings, not failures: the run always
+completes and the report carries the evidence.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from .algorithms import (
     policy_name, run_policy,
 )
 from .core import Instance, InvalidParam, Rational, make_instance, reject_float, scaled_ints
-from .oracle import CapacityExceeded, competitive_ratio, optimal_makespan_value
+from .oracle import CapacityExceeded, _lower_bound, competitive_ratio, optimal_makespan_value
 
 CSV_HEADER = ("scheduler", "instance", "m", "k", "alg_makespan", "opt_makespan", "ratio", "ratio_decimal")
 
@@ -112,16 +113,6 @@ def enumerate_instances(
         yield Instance(times)
 
 
-def _lower_bound(key: tuple[int, ...], m: int) -> int:
-    """max(p_max, ceil(T/m), p_(m) + p_(m+1)) of an ascending integer multiset,
-    where p_(j) is its j-th largest value: OPT is an integer at least this
-    (two of the m + 1 largest jobs share a machine)."""
-    bound = max(key[-1], -(-sum(key) // m))
-    if len(key) > m:
-        bound = max(bound, key[-m] + key[-m - 1])
-    return bound
-
-
 def _scan_chunk(
     policy: OnlinePolicy,
     m: int,
@@ -149,15 +140,17 @@ def _scan_chunk(
     or scaling.  ALG is the largest final load, in grid units.
 
     OPT depends only on the multiset of processing times, so the share keys
-    one table on sorted integer tuples.  It first caches the lower bound
-    ``_lower_bound`` of each multiset and asks the oracle only when that
-    bound cannot settle the instance: when bound * LB < ALG (it may be a
-    violation) or ALG/LB is at least the share's best exact ratio so far (it
-    may be the argmax, ties included).  Otherwise ALG/OPT <= ALG/LB is below
-    both, so skipping the oracle changes nothing.  The oracle runs once per
-    multiset at most, always on the sorted order: it divides by the gcd, so
-    a capacity error depends on the multiset alone, never on which ordering
-    the share met first, and it is raised only for a multiset the scan had
+    one table on sorted integer tuples.  A multiset's entry is -LB, its
+    lower bound ``_lower_bound`` (the oracle's first probe) negated, until
+    OPT is known, and OPT from then on.  An instance is skipped when its
+    entry's value E settles it: bound * E >= ALG (no violation) and ALG/E
+    is below the share's best exact ratio so far (not the argmax, ties
+    included).  E <= OPT, so ALG/OPT is below both too, and skipping changes
+    nothing.  Otherwise LB <= OPT <= ALG, so ALG = LB makes LB the OPT, and
+    only ALG > LB asks the oracle.  The oracle runs once per multiset at
+    most, always on the sorted order: it divides by the gcd, so a capacity
+    error depends on the multiset alone, never on which ordering the share
+    met first, and it is raised only for a multiset the scan had
     to ask for.  Ratios are compared with each other and with the bound by
     cross-multiplying integers, and ordering integer tuples orders the
     instances by value, as scaling keeps order.
@@ -179,9 +172,8 @@ def _scan_chunk(
     best_alg, best_opt, best_units = 0, 1, None
     violations: list[tuple[tuple[int, int], tuple[Rational, ...], Rational]] = []
     opts: dict[tuple[int, ...], int] = {}
-    lower_bounds: dict[tuple[int, ...], int] = {}
     for n, start, stop in ranges:
-        states, decisions = [(0,) * m], []
+        states = [(0,) * m]
         for index, units in enumerate(_grid(n, ints, start, stop), start):
             shared = 0  # leading values shared with the previous instance
             if index > start:
@@ -189,22 +181,23 @@ def _scan_chunk(
                 while wrapped % base == 0:
                     wrapped //= base
                     shared -= 1
-            _drive(choose, moves, units, k, states, decisions, max(0, shared - k))
+            _drive(choose, moves, units, k, states, max(0, shared - k))
             alg = max(states[-1])
             key = tuple(sorted(units))
-            opt = opts.get(key)
-            if opt is None:
-                lower = lower_bounds.get(key)
-                if lower is None:
-                    lower = lower_bounds[key] = _lower_bound(key, m)
-                # OPT >= LB: neither a violation nor the best so far, whatever OPT is
-                if under * alg <= over * lower and alg * best_opt < best_alg * lower:
-                    continue
+            entry = opts.get(key)
+            if entry is None:
+                entry = opts[key] = -_lower_bound(key, m)
+            opt = abs(entry)  # OPT, or LB <= OPT while the entry is negative
+            if under * alg <= over * opt and alg * best_opt < best_alg * opt:
+                continue
+            # LB <= OPT <= ALG, so ALG = LB makes LB the OPT
+            if entry < 0 and alg > opt:
                 try:
                     value = optimal_makespan_value(Instance(tuple(map(value_of, key))), m)
                 except CapacityExceeded as exc:
                     raise CapacityExceeded(f"{exc} (instance {inline_label(map(value_of, units))})") from exc
-                opt = opts[key] = value.numerator * (scale // value.denominator)
+                opt = value.numerator * (scale // value.denominator)
+            opts[key] = opt
             # alg/opt and best_alg/best_opt, both multiplied by opt * best_opt
             this, best = alg * best_opt, best_alg * opt
             if this > best or (this == best and units < best_units):

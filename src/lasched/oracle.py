@@ -5,13 +5,15 @@ denominators (``core.scaled_ints``) and divides them by their gcd, on both
 the value and the witness path.  One search gives the value and witness
 of every m >= 2.  At m = 2 it takes the optimum from the value bitset and
 probes only there; for m >= 3, or if the bitset would pass ``state_cap``, it
-probes the lower bound max(p_max, ceil(T/m)) and, only if that fails,
-computes the LPT makespan and bisects up to it.  Under each cap a depth-first
-search tries machine 1 first; the last probe gives the witness.  The search
-cuts a child whose loads break the cap, whose sorted loads are a known dead
-end, or whose wasted room exceeds the slack m*cap - T: the wasted-space
-bound of bin-packing branch and bound (Martello and Toth, Knapsack Problems,
-1990, ch. 8), where room below the smallest job still to come is wasted.
+probes the lower bound ``_lower_bound``, max(p_max, ceil(T/m), p_(m) +
+p_(m+1)) (Dell'Amico and Martello, ORSA J. Computing 1995), which the verify
+scan shares, and, only if that fails, computes the LPT makespan and bisects
+up to it.  Under each cap a depth-first search tries machine 1 first; the
+last probe gives the witness.  The search cuts a child whose loads break
+the cap, whose sorted loads are a known dead end, or whose wasted room
+exceeds the slack m*cap - T: the wasted-space bound of bin-packing branch
+and bound (Martello and Toth, Knapsack Problems, 1990, ch. 8), where room
+below the smallest job still to come is wasted.
 Waste is at most m*(p - 1) for that smallest job p, so the check runs only
 at depths where that exceeds the slack, and unit jobs skip it.  The value
 paths run one table first, a subset-sum bitset for m = 2 and, for every
@@ -133,6 +135,16 @@ def _lpt_makespan(ints: list[int], m: int) -> int:
     return max(loads)
 
 
+def _lower_bound(ints: list[int], m: int) -> int:
+    """max(p_max, ceil(T/m), p_(m) + p_(m+1)) of ascending positive integers,
+    where p_(j) is the j-th largest: OPT is an integer at least this (two of
+    the m + 1 largest jobs share a machine)."""
+    bound = max(ints[-1], -(-sum(ints) // m))
+    if len(ints) > m:
+        bound = max(bound, ints[-m] + ints[-m - 1])
+    return bound
+
+
 def _witness_search(
     ints: list[int], m: int, state_cap: int, optimum: int | None = None
 ) -> tuple[int, list[int]]:
@@ -202,7 +214,7 @@ def _witness_search(
     # lower bound first; only if it fails, bisect up to LPT, with every cap
     # <= low infeasible and high feasible, best its witness if probed; the
     # LPT cap itself is probed only if no lower cap is feasible
-    low = optimum or max(max(ints), -(-total // m))
+    low = optimum or _lower_bound(sorted(ints), m)
     machines = probe(low)
     if machines is not None:
         return low, machines
@@ -255,7 +267,8 @@ def optimal_makespan(
     integers and divided by their gcd.  At m = 2 it takes the optimum from
     the subset-sum bitset of ``optimal_makespan_value`` and probes only that
     cap.  For m >= 3, or when that bitset would pass ``state_cap``, it probes
-    the lower bound max(p_max, ceil(T/m)) first; only if that fails does it
+    the lower bound max(p_max, ceil(T/m), p_(m) + p_(m+1)) first (two of the
+    m + 1 largest jobs share a machine); only if that fails does it
     compute the LPT makespan and bisect up to it.  Each probe is a
     depth-first search over labelled loads that tries machine 1 first and
     never lets a load exceed the cap.  It also cuts a child once the room
@@ -279,7 +292,11 @@ def optimal_makespan(
 
 
 def opt_lower_bound(instance: Instance, machine_count: int) -> Rational:
-    """max(largest job, total work / m): no schedule can beat either term."""
+    """max(largest job, total work / m): no schedule can beat either term.
+
+    This is the classic two-term bound that ``lasched oracle`` prints; the
+    search's first probe, ``_lower_bound``, adds the term p_(m) + p_(m+1).
+    """
     check_machine_count(machine_count)
     return max(instance.max_time, instance.total_time / machine_count)
 

@@ -281,7 +281,7 @@ def test_a_resumed_drive_matches_a_fresh_run(policy, m, k, data):
     # run one instance, then resume a second one that shares its first
     # `shared` values at step max(0, shared - k), as the verify scan does,
     # through one move table; every policy is driven on integer loads,
-    # whatever _chooser shows it
+    # whatever _chooser shows it, and every stored state is the fresh run's
     policy = policy_for(policy)
     first = data.draw(st.lists(resumable_times, min_size=1, max_size=8))
     n = len(first)
@@ -289,15 +289,16 @@ def test_a_resumed_drive_matches_a_fresh_run(policy, m, k, data):
     second = first[:shared] + data.draw(st.lists(resumable_times, min_size=n - shared, max_size=n - shared))
     ints, scale = scaled_ints(first + second)
     choose = _chooser(policy, scale)
-    states, decisions, moves = [(0,) * m], [], {}
+    states, moves = [(0,) * m], {}
     for units, step in ((ints[:n], 0), (ints[n:], max(0, shared - k))):
-        _drive(choose, moves, tuple(units), k, states, decisions, step)
+        _drive(choose, moves, tuple(units), k, states, step)
         assert all(type(state) is tuple for state in states)
         assert all(type(load) is int for state in states for load in state)
     fresh = run_policy(make_instance(second), policy, m, k)
-    assert tuple(decisions) == fresh.decisions
-    assert tuple(F(load, scale) for load in states[-1]) == fresh.loads
-    assert len(states) == n + 1
+    assert len(states) == n + 1 and states[0] == (0,) * m
+    assert [tuple(F(load, scale) for load in state) for state in states[1:]] == [
+        record.loads for record in fresh.records
+    ]
 
 
 @pytest.mark.parametrize("scheduler,m,k", SCHEDULERS)

@@ -273,7 +273,7 @@ def test_verify_bound_shows_any_other_policy_the_fractions():
 
 def _lower_bound(times, m):
     """max(p_max, ceil(T/m), p_(m) + p_(m+1)) of integer times, written out
-    apart from the scan's own."""
+    apart from the oracle's own, which the scan uses."""
     ordered = sorted(times, reverse=True)
     pair = ordered[m - 1] + ordered[m] if len(ordered) > m else 0
     return max(ordered[0], -(-sum(ordered) // m), pair)
@@ -295,35 +295,52 @@ def test_verify_bound_calls_the_oracle_once_per_multiset(monkeypatch):
     seen = _oracle_calls(monkeypatch)
     bound = F(16, 11)
     report = verify_bound(SchedulerId.THREE_LA1, 3, 1, 6, VALUES_123, bound)
-    # the lower bound settles every other one of the 83 multisets
+    # the lower bound settles, or meets ALG on, every other one of the 83 multisets
     assert sum(comb(n + 2, 2) for n in range(1, 7)) == 83
-    assert len(seen) == len(set(seen)) == 26
+    assert len(seen) == len(set(seen)) == 4
     assert all(list(times) == sorted(times) for times in seen)
-    # every instance whose multiset was never asked can be neither a
-    # violation nor the argmax, by its ALG against its lower bound alone
-    asked, lower_bounds = set(seen), {}
+    # each multiset the oracle never saw needs no OPT: either every instance
+    # of it is neither a violation nor the argmax by its ALG against the
+    # lower bound alone, or some instance has ALG = LB and the brute force
+    # gives OPT = LB
+    asked, algs = set(seen), {}
+    policy = policy_for(SchedulerId.THREE_LA1)
     for n in range(1, 7):
         for instance in enumerate_instances(n, VALUES_123):
             key = tuple(sorted(instance.processing_times))
-            if key in asked:
-                continue
-            if key not in lower_bounds:
-                lower_bounds[key] = _lower_bound(key, 3)
-                assert lower_bounds[key] <= exhaustive_optimal_makespan(make_instance(key), 3).makespan
-            alg = run_policy(instance, policy_for(SchedulerId.THREE_LA1), 3, 1).makespan
-            assert alg <= bound * lower_bounds[key]
-            assert alg / lower_bounds[key] < report.max_ratio
-    assert len(lower_bounds) == 83 - 26
+            if key not in asked:
+                algs.setdefault(key, []).append(run_policy(instance, policy, 3, 1).makespan)
+    assert len(algs) == 83 - 4
+    met = 0
+    for key, alg in algs.items():
+        lower = _lower_bound(key, 3)
+        opt = exhaustive_optimal_makespan(make_instance(key), 3).makespan
+        assert lower <= opt
+        if lower in alg:
+            met += 1
+            assert opt == lower
+        else:
+            assert all(a <= bound * lower and a / lower < report.max_ratio for a in alg)
+    assert 0 < met < len(algs)
 
 
 def test_verify_bound_asks_the_oracle_for_few_multisets_of_the_bench_grid(monkeypatch):
-    # the verify-m3 bench grid at jobs 1: the scan's running best lets the
-    # lower bound settle all but 102 of its multisets
+    # the verify-m3 bench grid at jobs 1: the scan's running best, and LB as
+    # OPT wherever ALG meets it, settle all but 42 of its multisets
     seen = _oracle_calls(monkeypatch)
     report = verify_bound(SchedulerId.THREE_LA1, 3, 1, 6, tuple(F(v) for v in range(1, 6)), F(16, 11))
     assert sum(comb(n + 4, 4) for n in range(1, 7)) == 461
-    assert len(seen) == len(set(seen)) == 102
+    assert len(seen) == len(set(seen)) == 42
     assert report.instances_checked == 19530 and len(report.violations) == 187
+
+
+def test_verify_bound_makes_no_oracle_call_where_every_alg_meets_its_lower_bound(monkeypatch):
+    # LS spreads n unit jobs evenly on two machines: ALG = ceil(n/2) = LB
+    seen = _oracle_calls(monkeypatch)
+    report = verify_bound(SchedulerId.LS, 2, 0, 8, (F(1),), F(1))
+    assert seen == []
+    assert report.instances_checked == 8 and report.violations == ()
+    assert report.max_ratio == 1 and report.argmax_instance == make_instance([1])
 
 
 def test_verify_bound_capacity_error_names_the_scanned_instance(monkeypatch):
@@ -332,15 +349,16 @@ def test_verify_bound_capacity_error_names_the_scanned_instance(monkeypatch):
 
     def capped(instance, m):
         seen.append(instance.processing_times)
-        if instance.processing_times == (F(1), F(2)):
+        if instance.processing_times == (F(1), F(1), F(1), F(3), F(3)):
             raise CapacityExceeded("too big")
         return oracle(instance, m)
 
     monkeypatch.setattr(harness, "optimal_makespan_value", capped)
-    # descending values: the multiset {1, 2} is first met as 2,1
-    with pytest.raises(CapacityExceeded, match=r"^too big \(instance 2,1\)$"):
-        verify_bound(SchedulerId.THREE_LA1, 3, 1, 2, (F(3), F(2), F(1)), F(16, 11))
-    assert seen[-1] == (F(1), F(2))
+    # descending values: the first multiset the scan asks for, {1, 1, 1, 3, 3},
+    # is met as 3,3,1,1,1
+    with pytest.raises(CapacityExceeded, match=r"^too big \(instance 3,3,1,1,1\)$"):
+        verify_bound(SchedulerId.THREE_LA1, 3, 1, 5, (F(3), F(1)), F(16, 11))
+    assert seen == [(F(1), F(1), F(1), F(3), F(3))]
 
 
 class _SerialPool:

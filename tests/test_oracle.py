@@ -185,7 +185,11 @@ def test_lpt_runs_only_after_the_lower_bound_fails(monkeypatch):
         raise AssertionError("LPT computed although the lower bound is feasible")
 
     monkeypatch.setattr(oracle, "_lpt_makespan", refuse)
-    for times, m, opt in [([1, 1, 2], 2, 2), ([7, 4, 4, 7, 11], 3, 11), ([1] * 1200, 3, 400)]:
+    # on [2, 2, 2, 2, 1] at m = 3 the two-term bound max(p_max, ceil(T/m)) = 3
+    # is infeasible, and the pair term p_(m) + p_(m+1) = 4 is OPT (the gcd is
+    # 1: on [2, 2, 2, 2] the search probes [1, 1, 1, 1], where 2 is OPT already)
+    cases = [([1, 1, 2], 2, 2), ([7, 4, 4, 7, 11], 3, 11), ([1] * 1200, 3, 400), ([2, 2, 2, 2, 1], 3, 4)]
+    for times, m, opt in cases:
         assert optimal_makespan(make_instance(times), m).makespan == opt
     # at m = 2 the search takes the optimum from the bitset and probes only
     # there, though the lower bound 18409/2 of these 25 jobs is infeasible
@@ -199,14 +203,31 @@ def test_lpt_runs_only_after_the_lower_bound_fails(monkeypatch):
     assert calls == [3]
 
 
-# each lower bound max(p_max, ceil(T/m)) is infeasible at m = 3 or m = 2,
-# where the search bisects up to LPT
-@pytest.mark.parametrize("times", [[2, 2, 2, 2], [F(1001, 1000)] * 4, [2, 2, 2]])
-def test_witness_search_bisects_past_the_lower_bound(times):
+# opt_lower_bound, the two-term bound max(p_max, T/m), is below OPT on
+# every case at m = 2 or m = 3.  The search probes the three-term bound of
+# the times divided by their gcd, rounded up, which is OPT on the first four
+# ([2, 2, 2, 2, 2] at m = 2 has bound 5 and OPT 6, but on [1] * 5 the bound
+# 3 is OPT).  [3, 3, 3, 3, 2] needs the pair term at m = 3 (two-term 5,
+# three-term 6 = OPT) and bisects up to LPT at m = 2 (bound 7, OPT 8);
+# [2, 2, 2, 3, 3] bisects at m = 3 (bound 4, OPT 5)
+@pytest.mark.parametrize(
+    "times", [[2, 2, 2, 2], [F(1001, 1000)] * 4, [2, 2, 2], [2, 2, 2, 2, 2], [3, 3, 3, 3, 2], [2, 2, 2, 3, 3]]
+)
+def test_witness_search_bisects_past_the_lower_bound(times, monkeypatch):
     instance = make_instance(times)
     assert any(opt_lower_bound(instance, m) < optimal_makespan_value(instance, m) for m in (2, 3))
+    lpt, calls = oracle._lpt_makespan, []
+    monkeypatch.setattr(oracle, "_lpt_makespan", lambda ints, m: calls.append(m) or lpt(ints, m))
+    ints, unit, scale = oracle._coprime_ints(instance)
     for m in (2, 3):
-        assert optimal_makespan(instance, m) == exhaustive_optimal_makespan(instance, m)
+        exact = exhaustive_optimal_makespan(instance, m)
+        # the search itself, which the m = 2 paths reach only past the bitset's cap
+        cap, machines = oracle._witness_search(ints, m, oracle.DEFAULT_STATE_CAP)
+        assert F(cap * unit, scale) == exact.makespan
+        assert dict(enumerate(machines, 1)) == exact.witness_assignment
+        # LPT is computed exactly when the first probe, the three-term bound, fails
+        assert (m in calls) == (F(oracle._lower_bound(sorted(ints), m) * unit, scale) < exact.makespan)
+        assert optimal_makespan(instance, m) == exact
 
 
 def test_witness_search_on_oracle_mix_sizes():
