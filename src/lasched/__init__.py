@@ -2,7 +2,7 @@
 
 Online policies for two and three identical machines that see one job
 ahead, Graham's least-loaded baseline, an exact optimal-offline oracle,
-adaptive lower-bound adversaries, and an exhaustive bound-verification
+adaptive adversary games, and an exhaustive bound-verification
 harness.  All arithmetic is rational and exact.
 """
 

@@ -1,11 +1,13 @@
-"""Hard-instance families and adaptive lower-bound games.
+"""Hard-instance families and adaptive adversary games.
 
 The named families are fixed sequences; the two game strategies build their
 sequence while playing against an online policy, committing each processing
 time no later than the lookahead model reveals it.  A game that peeked at
 decisions made after a value was revealed would prove nothing, so both games
 commit first and replay afterwards, checking that the replayed prefix
-decisions match the live ones.
+decisions match the live ones.  A game's ratio bounds a policy's competitive
+ratio from below only for the policies it is played against: the thm4 game
+is not a lower bound against every policy (see ``play_theorem4``).
 """
 
 from __future__ import annotations
@@ -193,7 +195,7 @@ def play_theorem1(
 
 
 def play_theorem4(scheduler: SchedulerId | OnlinePolicy) -> GameTranscript:
-    """Three-machine lower-bound game under 1-lookahead.
+    """Three-machine adversary game under 1-lookahead.
 
     The prefix 7, 4, 4 is fixed.  The game always commits 7 as the fourth
     value, so it can be committed when job 3 arrives without knowing where
@@ -204,6 +206,12 @@ def play_theorem4(scheduler: SchedulerId | OnlinePolicy) -> GameTranscript:
     The fifth value is that case's from the thm4:case tails, so the final
     instance is thm4:case=<label>.  A policy bound to another machine count
     raises SchedulerMachineMismatch from run_policy.
+
+    This is not a lower bound against every policy.  A policy that reads
+    only the loads, sending the jobs at loads (0,0,0) and (7,0,0) to M1, at
+    (11,0,0) and (11,4,0) to M2, at (11,11,0) to M3 and any other job to a
+    least-loaded machine, draws case "2.1" and plays 1,1,2,2,3 on
+    7,4,4,7,11: every machine ends at 11 = OPT, so the ratio is 1.
     """
 
     def answer(_, decisions):

@@ -32,6 +32,7 @@ from .core import (
     LookaheadWindow,
     Rational,
     check_machine_count,
+    reject_float,
     scaled_ints,
 )
 
@@ -124,8 +125,11 @@ class BudgetCascade:
     job goes to a least-loaded machine, ties to the lowest index, or to the
     highest if ``ties_high`` is set.  Every test is exact on integers and on
     Fractions alike, and homogeneous, so ``run_policy`` drives it on the
-    instance scaled to integers.  Not frozen, so a tracer can wrap
-    ``choose`` on the instance.
+    instance scaled to integers.  Each row must be three ints j, a, b >= 1
+    (a float raises TypeError), and a cascade with rows reads the next job,
+    so it needs ``min_lookahead`` >= 1; ``check_policy`` rejects a row whose
+    machine is past m.  Not frozen, so a tracer can wrap ``choose`` on the
+    instance.
     """
 
     scheduler_id: SchedulerId | None
@@ -133,6 +137,15 @@ class BudgetCascade:
     min_lookahead: int
     budgets: tuple[tuple[int, int, int], ...] = ()
     ties_high: bool = False
+
+    def __post_init__(self) -> None:
+        for row in self.budgets:
+            for value in row:
+                reject_float(value, "budget row entry")
+            if len(row) != 3 or not all(isinstance(value, int) and value >= 1 for value in row):
+                raise InvalidParam(f"budget row {row!r} needs three ints j, a, b >= 1")
+        if self.budgets and self.min_lookahead < 1:
+            raise InvalidParam(f"budget rows need min_lookahead >= 1, got {self.min_lookahead}")
 
     def choose(self, loads: tuple[Rational, ...], window: LookaheadWindow) -> int:
         if self.budgets and window.future:
@@ -186,6 +199,8 @@ def check_policy(policy: OnlinePolicy, m: int, k: int) -> None:
         raise SchedulerMachineMismatch(f"{name} requires m={policy.machine_count}, got m={m}")
     if k < policy.min_lookahead:
         raise InvalidParam(f"{name} needs lookahead >= {policy.min_lookahead}, got k={k}")
+    if isinstance(policy, BudgetCascade) and any(row[0] > m for row in policy.budgets):
+        raise InvalidParam(f"{name} has a budget row for a machine past m={m}")
 
 
 def _chooser(policy: OnlinePolicy, scale: int):

@@ -2,9 +2,9 @@
 
 verify_bound enumerates every instance over a bounded space, scores each one
 against the exact oracle (or against a lower bound on OPT, where that alone
-shows the instance is neither a violation nor the maximum, or where ALG
-meets it), and reports the maximum ratio plus every instance exceeding the
-target bound.  Violations are findings, not failures: the run always
+shows the instance is neither a violation nor the report's argmax, or where
+ALG meets it), and reports the maximum ratio plus every instance exceeding
+the target bound.  Violations are findings, not failures: the run always
 completes and the report carries the evidence.
 """
 
@@ -142,23 +142,26 @@ def _scan_chunk(
     OPT depends only on the multiset of processing times, so the share keys
     one table on sorted integer tuples.  A multiset's entry is -LB, its
     lower bound ``_lower_bound`` (the oracle's first probe) negated, until
-    OPT is known, and OPT from then on.  An instance is skipped when its
-    entry's value E settles it: bound * E >= ALG (no violation) and ALG/E
-    is below the share's best exact ratio so far (not the argmax, ties
-    included).  E <= OPT, so ALG/OPT is below both too, and skipping changes
-    nothing.  Otherwise LB <= OPT <= ALG, so ALG = LB makes LB the OPT, and
-    only ALG > LB asks the oracle.  The oracle runs once per multiset at
-    most, always on the sorted order: it divides by the gcd, so a capacity
-    error depends on the multiset alone, never on which ordering the share
-    met first, and it is raised only for a multiset the scan had
+    OPT is known, and OPT from then on.  The skip test is the exact negation
+    of the report's own order under the entry's value E: an instance is
+    scored exactly only if bound * E < ALG (a violation under E) or it would
+    replace the share's best under E, that is ALG/E is larger, or equal and
+    the instance lexicographically smaller; the replace test and the merge
+    of the shares use that same order.  E <= OPT, so ALG/OPT <= ALG/E: an
+    instance that neither violates nor wins under E cannot under OPT, and
+    skipping changes nothing.  Otherwise LB <= OPT <= ALG, so ALG = LB makes
+    LB the OPT, and only ALG > LB asks the oracle.  The oracle runs once per
+    multiset at most, always on the sorted order: it divides by the gcd, so
+    a capacity error depends on the multiset alone, never on which ordering
+    the share met first, and it is raised only for a multiset the scan had
     to ask for.  Ratios are compared with each other and with the bound by
     cross-multiplying integers, and ordering integer tuples orders the
     instances by value, as scaling keeps order.
 
-    Returns (checked, best, violations), where best is the least
-    (-ratio, times) pair: the largest ratio, ties broken towards the
-    lexicographically smallest instance; each violation is
-    ((n, index), times, ratio), so the shares merge in enumeration order.
+    Returns (best, violations), where best is the least (-ratio, times)
+    pair: the largest ratio, ties broken towards the lexicographically
+    smallest instance; each violation is ((n, index), times, ratio), so the
+    shares merge in enumeration order.
     A value dict maps integers back to the checked Fractions only for these,
     the oracle's instance and a capacity error's label.
     Picklable arguments only (a BudgetCascade pickles), so verification can
@@ -188,7 +191,11 @@ def _scan_chunk(
             if entry is None:
                 entry = opts[key] = -_lower_bound(key, m)
             opt = abs(entry)  # OPT, or LB <= OPT while the entry is negative
-            if under * alg <= over * opt and alg * best_opt < best_alg * opt:
+            # the report's order: the larger ratio (alg/opt and best_alg/best_opt,
+            # both times opt * best_opt), then the smaller instance; skip unless,
+            # under the entry, the instance violates or would replace the best
+            this, best = alg * best_opt, best_alg * opt
+            if under * alg <= over * opt and (this < best or this == best and units > best_units):
                 continue
             # LB <= OPT <= ALG, so ALG = LB makes LB the OPT
             if entry < 0 and alg > opt:
@@ -197,15 +204,14 @@ def _scan_chunk(
                 except CapacityExceeded as exc:
                     raise CapacityExceeded(f"{exc} (instance {inline_label(map(value_of, units))})") from exc
                 opt = value.numerator * (scale // value.denominator)
+                best = best_alg * opt
             opts[key] = opt
-            # alg/opt and best_alg/best_opt, both multiplied by opt * best_opt
-            this, best = alg * best_opt, best_alg * opt
-            if this > best or (this == best and units < best_units):
+            # the same order, under OPT
+            if this > best or this == best and units < best_units:
                 best_alg, best_opt, best_units = alg, opt, units
             if under * alg > over * opt:
                 violations.append(((n, index), tuple(map(value_of, units)), Fraction(alg, opt)))
-    checked = sum(stop - start for _, start, stop in ranges)
-    return checked, (-Fraction(best_alg, best_opt), tuple(map(value_of, best_units))), violations
+    return (-Fraction(best_alg, best_opt), tuple(map(value_of, best_units))), violations
 
 
 def verify_bound(
@@ -225,9 +231,12 @@ def verify_bound(
     jobs index ranges, and worker w scans its range of every length as one
     task, so its move table, its OPT table and its best ratio so far serve
     all lengths; a worker with no instance gets no task.  The result is
-    identical for any worker count: the tasks' counts add, their violations
+    identical for any worker count: instances_checked is the sum of the
+    lengths' totals, which the split iterates, the tasks' violations
     merge in (n, index) order, and the report's argmax is the least of the
-    tasks' best pairs, so ties break as they do within a task.
+    tasks' best pairs, so ties break as they do within a task.  The report's
+    Instances are built from the checked grid values without validating
+    them again, as ``enumerate_instances`` does.
     """
     policy = policy_for(policy)
     check_policy(policy, m, k)
@@ -241,9 +250,9 @@ def verify_bound(
     if jobs < 1:
         raise InvalidParam(f"worker count must be >= 1, got {jobs}")
 
+    totals = [len(values) ** n for n in range(1, n_max + 1)]
     shares: dict[int, list[tuple[int, int, int]]] = {}
-    for n in range(1, n_max + 1):
-        total = len(values) ** n
+    for n, total in enumerate(totals, 1):
         chunk = -(-total // jobs)  # ceil division
         for worker, start in enumerate(range(0, total, chunk)):
             shares.setdefault(worker, []).append((n, start, min(start + chunk, total)))
@@ -261,19 +270,19 @@ def verify_bound(
         with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_scan_chunk, *zip(*tasks)))
 
-    neg_ratio, best_values = min(best for _, best, _ in results)
+    neg_ratio, best_values = min(best for best, _ in results)
     # (n, index) is unique, so the sort never compares further
-    found = sorted(violation for *_, violations in results for violation in violations)
+    found = sorted(violation for _, violations in results for violation in violations)
     return VerificationReport(
         policy=policy,
         m=m,
         k=k,
         n_max=n_max,
         values=values,
-        instances_checked=sum(count for count, _, _ in results),
+        instances_checked=sum(totals),
         max_ratio=-neg_ratio,
-        argmax_instance=make_instance(best_values),
-        violations=tuple((make_instance(v), r) for _, v, r in found),
+        argmax_instance=Instance(best_values),
+        violations=tuple((Instance(v), r) for _, v, r in found),
         target_bound=target_bound,
     )
 

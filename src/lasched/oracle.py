@@ -201,7 +201,7 @@ def _witness_search(
             stored += 1
             if stored > state_cap:
                 raise CapacityExceeded(
-                    f"DP table grew past {state_cap} states; use smaller values or raise the cap"
+                    f"the search's dead ends grew past {state_cap} states; use smaller values or a larger cap"
                 )
             if not machines:
                 return None

@@ -16,6 +16,7 @@ from lasched import (
     play_theorem1,
     play_theorem4,
 )
+from reference_policies import LoadConstant
 
 
 class Stacker:
@@ -315,3 +316,17 @@ def test_enumerate_instances_chunking(n, cut):
     head = list(enumerate_instances(n, values, stop=cut))
     tail = list(enumerate_instances(n, values, start=cut))
     assert head + tail == full
+
+
+
+def test_play_theorem4_is_not_a_lower_bound_against_every_policy():
+    # LoadConstant reads only the loads: on this game it sends the jobs at
+    # (0,0,0) and (7,0,0) to M1, at (11,0,0) and (11,4,0) to M2 and at
+    # (11,11,0) to M3; so the game picks case 2.1 from the placements 1, 1, 2,
+    # and every machine ends at 11 = OPT
+    transcript = play_theorem4(LoadConstant())
+    assert transcript.case == "2.1"
+    assert transcript.final_instance.processing_times == (F(7), F(4), F(4), F(7), F(11))
+    assert transcript.trace.decisions == (1, 1, 2, 2, 3)
+    assert transcript.opt_makespan == 11
+    assert transcript.ratio == 1

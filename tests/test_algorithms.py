@@ -1,3 +1,4 @@
+import re
 from fractions import Fraction as F
 
 import pytest
@@ -395,3 +396,40 @@ def test_run_policy_validations():
         run_policy(instance, policy_for(SchedulerId.TWO_LA1), 2, 0)
     with pytest.raises(InvalidParam):
         run_policy(instance, policy_for(SchedulerId.LS), 1, 0)
+
+
+# M0 would load loads[-1]; the good row first, so every row is checked
+@pytest.mark.parametrize("row", [(0, 2, 3), (1, 0, 3), (2, 2, -3), (1, F(2, 3), 1), ("2", 15, 33), (1, 2)])
+def test_a_budget_cascade_rejects_a_row_that_is_not_three_positive_ints(row):
+    from lasched import InvalidParam
+
+    error = rf"^budget row {re.escape(repr(row))} needs three ints j, a, b >= 1$"
+    with pytest.raises(InvalidParam, match=error):
+        BudgetCascade(None, None, 1, ((1, 16, 33), row))
+
+
+def test_a_budget_cascade_rejects_a_float_budget():
+    # compared as a float, 0.6 would admit by binary rounding
+    with pytest.raises(TypeError, match=r"^budget row entry is a float; pass Fraction or int$"):
+        BudgetCascade(None, 2, 1, ((1, 0.6, 1),))
+
+
+def test_a_budget_cascade_with_rows_needs_lookahead():
+    # verified at k = 0 every window's future is empty, so the rows would
+    # never fire and the cascade would silently act as LS
+    from lasched import InvalidParam
+
+    with pytest.raises(InvalidParam, match=r"^budget rows need min_lookahead >= 1, got 0$"):
+        BudgetCascade(None, 2, 0, ((1, 2, 3),))
+    assert BudgetCascade(None, None, 0).budgets == ()
+
+
+def test_check_policy_rejects_a_budget_row_past_the_machine_count():
+    from lasched import InvalidParam, verify_bound
+
+    policy = BudgetCascade(None, None, 1, ((3, 1, 2),))
+    with pytest.raises(InvalidParam, match=r"^policy has a budget row for a machine past m=2$"):
+        run_policy(make_instance([1, 2]), policy, 2, 1)
+    with pytest.raises(InvalidParam, match=r"^policy has a budget row for a machine past m=2$"):
+        verify_bound(policy, 2, 1, 2, (F(1), F(2)), F(2))
+    assert run_policy(make_instance([1, 2]), policy, 3, 1).decisions == (3, 1)

@@ -1,5 +1,6 @@
 import concurrent.futures
 import dataclasses
+import functools
 from fractions import Fraction as F
 from math import comb
 
@@ -156,6 +157,10 @@ def _uncached_report(scheduler, m, k, n_max, values, bound):
             if ratio > bound:
                 violations.append((times, ratio))
     return checked, best_ratio, best_times, violations
+
+
+# one reference per grid for tests that scan it at several worker counts
+_reference_report = functools.cache(_uncached_report)
 
 
 @pytest.mark.parametrize("jobs", [1, 3])
@@ -343,22 +348,56 @@ def test_verify_bound_makes_no_oracle_call_where_every_alg_meets_its_lower_bound
     assert report.max_ratio == 1 and report.argmax_instance == make_instance([1])
 
 
+@pytest.mark.parametrize("jobs", [1, 2, 3])
+@pytest.mark.parametrize(
+    "scheduler,m,k,n_max,values,bound,asked",
+    [
+        # one call settles the argmax 1,1,1,1,2 at 3/2
+        (SchedulerId.LS, 4, 0, 5, tuple(F(v) for v in range(1, 9)), F(7, 4), 1),
+        # three calls settle the argmax 1,1,1,1,1,1 at 4/3
+        (SchedulerId.TWO_LA1, 2, 1, 8, VALUES_123, F(4, 3), 3),
+    ],
+)
+def test_verify_bound_asks_the_oracle_only_where_a_tie_could_change_the_report(
+    monkeypatch, scheduler, m, k, n_max, values, bound, asked, jobs
+):
+    # an instance that ties the running best under its lower bound and comes
+    # after it in the report's order can neither win nor violate under OPT,
+    # so most ties on these grids need no oracle call
+    seen = _oracle_calls(monkeypatch)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _SerialPool)
+    report = verify_bound(scheduler, m, k, n_max, values, bound, jobs=jobs)
+    if jobs == 1:
+        assert len(seen) == len(set(seen)) == asked
+    assert _summary(report) == _reference_report(scheduler, m, k, n_max, values, bound)
+
+
+def test_verify_bound_replaces_its_best_only_by_the_ratio_against_opt():
+    # 2,2,5,5 reaches the maximum 9/7 first; the later 2,3,2,5 beats it
+    # against its lower bound (ALG 8, LB 6) but not against OPT 7, so the
+    # best must be compared again once OPT is known
+    values = (F(2), F(3), F(5))
+    expected = _uncached_report(SchedulerId.TWO_LA1, 2, 1, 4, values, F(5, 4))
+    assert expected[1:3] == (F(9, 7), (F(2), F(2), F(5), F(5)))
+    assert _summary(verify_bound(SchedulerId.TWO_LA1, 2, 1, 4, values, F(5, 4))) == expected
+
+
 def test_verify_bound_capacity_error_names_the_scanned_instance(monkeypatch):
     oracle = harness.optimal_makespan_value
     seen = []
 
     def capped(instance, m):
         seen.append(instance.processing_times)
-        if instance.processing_times == (F(1), F(1), F(1), F(3), F(3)):
+        if instance.processing_times == (F(1), F(2), F(3), F(3)):
             raise CapacityExceeded("too big")
         return oracle(instance, m)
 
     monkeypatch.setattr(harness, "optimal_makespan_value", capped)
-    # descending values: the first multiset the scan asks for, {1, 1, 1, 3, 3},
-    # is met as 3,3,1,1,1
-    with pytest.raises(CapacityExceeded, match=r"^too big \(instance 3,3,1,1,1\)$"):
-        verify_bound(SchedulerId.THREE_LA1, 3, 1, 5, (F(3), F(1)), F(16, 11))
-    assert seen == [(F(1), F(1), F(1), F(3), F(3))]
+    # descending values: the first multiset the scan asks for, {1, 2, 3, 3},
+    # is met as 3,3,1,2
+    with pytest.raises(CapacityExceeded, match=r"^too big \(instance 3,3,1,2\)$"):
+        verify_bound(SchedulerId.THREE_LA1, 3, 1, 4, (F(3), F(2), F(1)), F(16, 11))
+    assert seen == [(F(1), F(2), F(3), F(3))]
 
 
 class _SerialPool:
