@@ -11,8 +11,8 @@ comparison, ties included, keeps its truth value; ``_chooser`` shows any
 other policy the equal Fractions.  One loop, ``_drive``, makes the
 decisions: it runs the steps after a stored load state and keeps only the
 loads after each step, so ``run_policy`` runs it from the start and the
-verify scan resumes it where an instance stops sharing its prefix with the
-one before.  It looks each (loads, revealed values) up in a move table of
+verify scan resumes it where a prefix stops sharing its values with the one
+before, and runs each last value from the loads its prefix fixes.  It looks each (loads, revealed values) up in a move table of
 loads after first, so a policy is asked each question at most once per
 table.  Every time is positive, so each decision is the one machine whose
 load grew.  A trace stores the decisions and the integer loads, and builds
@@ -222,16 +222,19 @@ def _chooser(policy: OnlinePolicy, scale: int):
     return shown
 
 
-def _drive(choose, moves: dict, units: tuple, lookahead: int, states: list, step: int = 0) -> None:
-    """Run steps step + 1..n of a ``_chooser`` over units, from the loads after step.
+def _drive(
+    choose, moves: dict, units: tuple, lookahead: int, states: list, step: int = 0, stop: int | None = None
+) -> None:
+    """Run steps step + 1..stop of a ``_chooser`` over units, from the loads after step.
 
-    ``states[i]`` holds the integer loads after step i (``states[0]`` the
-    empty machines); it is cut back to step and extended to n.  Decision i
-    depends only on the first i + lookahead values, so a run over values
-    that share their first d with the stored run's may resume at step
-    max(0, d - lookahead).  Every unit is positive, so the machine of job i
-    is the one whose load differs between ``states[i - 1]`` and
-    ``states[i]``.
+    stop defaults to n, the number of units; a run that stops earlier still
+    shows its windows the values past stop.  ``states[i]`` holds the
+    integer loads after step i (``states[0]`` the empty machines); it is cut
+    back to step and extended to stop.  Decision i depends only on the first
+    i + lookahead values, so a run over values that share their first d
+    with the stored run's may resume at step max(0, d - lookahead).  Every
+    unit is positive, so the machine of job i is the one whose load differs
+    between ``states[i - 1]`` and ``states[i]``.
 
     ``moves`` is the move table: it maps (loads, revealed values) to the
     loads after, the very tuple that ``states`` stores.  A step whose key
@@ -243,7 +246,7 @@ def _drive(choose, moves: dict, units: tuple, lookahead: int, states: list, step
     """
     del states[step + 1 :]
     loads = states[step]
-    for i in range(step, len(units)):
+    for i in range(step, len(units) if stop is None else stop):
         # job i + 1 reveals its own value and the next lookahead ones
         revealed = units[i : i + 1 + lookahead]
         key = loads, revealed

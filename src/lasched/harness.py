@@ -121,42 +121,55 @@ def _scan_chunk(
     ranges: Sequence[tuple[int, int, int]],
     bound: Rational,
 ):
-    """Score one worker's share: the index range [start, stop) of the
-    length-n enumeration for each (n, start, stop) in ranges.
+    """Score one share: the index range [start, stop) of the length-n
+    enumeration for each (n, start, stop) in ranges.
 
     The share scales verify_bound's checked Fractions once to integers over
     the lcm of their denominators and iterates that one integer grid,
     driving the policy through ``_chooser`` and ``_drive`` as ``run_policy``
     does, with one move table for the whole share: ``choose`` is asked at
-    most once per distinct (loads, window), whatever the length.  Within a
-    range the share keeps the loads after each step of the previous
-    instance.  Decision i depends only on the first i + k values, and in
-    lexicographic order an instance shares all but its last t + 1 values
-    with the one before, where t counts the trailing zero base-|values|
-    digits of its index; so ``_drive`` resumes each instance at step
-    max(0, n - t - 1 - k).  The first instance of a range runs from step 0
-    through the table, so the result is the same for any split.  The policy
+    most once per distinct (loads, window), whatever the length.  The policy
     was checked once by verify_bound; the scan makes no per-instance check
     or scaling.  ALG is the largest final load, in grid units.
 
-    OPT depends only on the multiset of processing times, so the share keys
-    one table on sorted integer tuples.  A multiset's entry is -LB, its
-    lower bound ``_lower_bound`` (the oracle's first probe) negated, until
-    OPT is known, and OPT from then on.  The skip test is the exact negation
-    of the report's own order under the entry's value E: an instance is
-    scored exactly only if bound * E < ALG (a violation under E) or it would
-    replace the share's best under E, that is ALG/E is larger, or equal and
-    the instance lexicographically smaller; the replace test and the merge
-    of the shares use that same order.  E <= OPT, so ALG/OPT <= ALG/E: an
-    instance that neither violates nor wins under E cannot under OPT, and
-    skipping changes nothing.  Otherwise LB <= OPT <= ALG, so ALG = LB makes
-    LB the OPT, and only ALG > LB asks the oracle.  The oracle runs once per
-    multiset at most, always on the sorted order: it divides by the gcd, so
-    a capacity error depends on the multiset alone, never on which ordering
-    the share met first, and it is raised only for a multiset the scan had
-    to ask for.  Ratios are compared with each other and with the bound by
-    cross-multiplying integers, and ordering integer tuples orders the
-    instances by value, as scaling keeps order.
+    The scan walks rows: instance i of length n is prefix i // |values| of
+    length n - 1 followed by value i % |values|.  Decision i depends only on
+    the first i + k values, so the prefix alone fixes the loads after step
+    s = max(0, n - 1 - k), and ALG depends only on those loads, the
+    prefix's values after s (at most k) and the last value.  The share keeps
+    the loads after each step of the previous prefix; in lexicographic order
+    a prefix shares all but its last t + 1 values with the one before, where
+    t counts the trailing zero base-|values| digits of its index, so
+    ``_drive`` resumes each prefix at step max(0, n - t - 2 - k), through
+    step s only.  The first prefix of a range runs from step 0, so the
+    result is the same for any split.  The ALG row, every last value's ALG,
+    is cached on (loads after s, values after s) and built once, by one
+    ``_drive`` per last value from those loads.
+
+    OPT depends only on the multiset of processing times, so the share keeps
+    one cell per sorted integer tuple, and the OPT row of a prefix, cached on
+    its sorted values, holds the cells of its last values.  A cell's entry
+    is -LB, its lower bound ``_lower_bound`` (the oracle's first probe)
+    negated, until OPT is known, and OPT from then on.  The skip test is the
+    exact negation of the report's own order under the entry's value E: an
+    instance is scored exactly only if bound * E < ALG (a violation under E)
+    or it would replace the share's best under E, that is ALG/E is larger,
+    or equal and the instance lexicographically smaller; the replace test
+    and the merge of the shares use that same order.  E <= OPT, so
+    ALG/OPT <= ALG/E: an instance that neither violates nor wins under E
+    cannot under OPT, and skipping changes nothing.  Each row also keeps,
+    from when it was built, its largest ALG and its least |entry|, which
+    stays a lower bound on every cell as entries only grow; a row that
+    under these has no violation and every ratio below the best's skips
+    all its instances at once, as each one's own test would.  Otherwise
+    LB <= OPT <= ALG, so ALG = LB makes LB the OPT, and only ALG > LB asks
+    the oracle.  The oracle runs once per multiset at most, always on the
+    sorted order: it divides by the gcd, so a capacity error depends on the
+    multiset alone, never on which ordering the share met first, and it is
+    raised only for a multiset the scan had to ask for.  Ratios are compared
+    with each other and with the bound by cross-multiplying integers, and
+    ordering integer tuples orders the instances by value, as scaling keeps
+    order.
 
     Returns (best, violations), where best is the least (-ratio, times)
     pair: the largest ratio, ties broken towards the lexicographically
@@ -174,44 +187,86 @@ def _scan_chunk(
     # 0/1 is below every ratio, so the first instance always replaces it
     best_alg, best_opt, best_units = 0, 1, None
     violations: list[tuple[tuple[int, int], tuple[Rational, ...], Rational]] = []
-    opts: dict[tuple[int, ...], int] = {}
+    # cells: multiset -> [entry]; ALG rows: (loads, values after s) ->
+    # (largest ALG, ALGs); OPT rows: sorted prefix -> (least |entry|, cells)
+    cells: dict[tuple[int, ...], list[int]] = {}
+    alg_rows: dict[tuple, tuple[int, tuple[int, ...]]] = {}
+    opt_rows: dict[tuple[int, ...], tuple[int, tuple[list[int], ...]]] = {}
     for n, start, stop in ranges:
+        step = max(0, n - 1 - k)  # the last step the prefix alone decides
         states = [(0,) * m]
-        for index, units in enumerate(_grid(n, ints, start, stop), start):
-            shared = 0  # leading values shared with the previous instance
-            if index > start:
-                shared, wrapped = n - 1, index
+        first = start // base
+        for row, prefix in enumerate(_grid(n - 1, ints, first, -(-stop // base)), first):
+            resume = 0  # the last step whose loads the previous prefix shares
+            if row > first:
+                shared, wrapped = n - 2, row
                 while wrapped % base == 0:
                     wrapped //= base
                     shared -= 1
-            _drive(choose, moves, units, k, states, max(0, shared - k))
-            alg = max(states[-1])
-            key = tuple(sorted(units))
-            entry = opts.get(key)
-            if entry is None:
-                entry = opts[key] = -_lower_bound(key, m)
-            opt = abs(entry)  # OPT, or LB <= OPT while the entry is negative
-            # the report's order: the larger ratio (alg/opt and best_alg/best_opt,
-            # both times opt * best_opt), then the smaller instance; skip unless,
-            # under the entry, the instance violates or would replace the best
-            this, best = alg * best_opt, best_alg * opt
-            if under * alg <= over * opt and (this < best or this == best and units > best_units):
+                resume = min(step, max(0, shared - k))
+            _drive(choose, moves, prefix, k, states, resume, step)
+            loads, tail = states[step], prefix[step:]
+            alg_row = alg_rows.get((loads, tail))
+            if alg_row is None:
+                algs = []
+                for value in ints:
+                    run = [loads]
+                    _drive(choose, moves, tail + (value,), k, run)
+                    algs.append(max(run[-1]))
+                alg_row = alg_rows[loads, tail] = max(algs), tuple(algs)
+            top, algs = alg_row
+            ordered = tuple(sorted(prefix))
+            opt_row = opt_rows.get(ordered)
+            if opt_row is None:
+                keys = [tuple(sorted(ordered + (value,))) for value in ints]
+                row_cells = tuple(cells.get(key) or cells.setdefault(key, [-_lower_bound(key, m)]) for key in keys)
+                opt_row = opt_rows[ordered] = min(abs(cell[0]) for cell in row_cells), row_cells
+            least, row_cells = opt_row
+            # the whole row, under its largest ALG and least entry: no
+            # violation, and every ratio below the best's
+            if under * top <= over * least and top * best_opt < best_alg * least:
                 continue
-            # LB <= OPT <= ALG, so ALG = LB makes LB the OPT
-            if entry < 0 and alg > opt:
-                try:
-                    value = optimal_makespan_value(Instance(tuple(map(value_of, key))), m)
-                except CapacityExceeded as exc:
-                    raise CapacityExceeded(f"{exc} (instance {inline_label(map(value_of, units))})") from exc
-                opt = value.numerator * (scale // value.denominator)
-                best = best_alg * opt
-            opts[key] = opt
-            # the same order, under OPT
-            if this > best or this == best and units < best_units:
-                best_alg, best_opt, best_units = alg, opt, units
-            if under * alg > over * opt:
-                violations.append(((n, index), tuple(map(value_of, units)), Fraction(alg, opt)))
+            offset = row * base
+            for j in range(max(0, start - offset), min(base, stop - offset)):
+                alg, cell = algs[j], row_cells[j]
+                entry = cell[0]
+                opt = abs(entry)  # OPT, or LB <= OPT while the entry is negative
+                # the report's order: the larger ratio (alg/opt and best_alg/best_opt,
+                # both times opt * best_opt), then the smaller instance; skip unless,
+                # under the entry, the instance violates or would replace the best
+                this, best = alg * best_opt, best_alg * opt
+                if under * alg <= over * opt and (
+                    this < best or this == best and prefix + (ints[j],) > best_units
+                ):
+                    continue
+                units = prefix + (ints[j],)
+                # LB <= OPT <= ALG, so ALG = LB makes LB the OPT
+                if entry < 0 and alg > opt:
+                    key = tuple(sorted(units))
+                    try:
+                        value = optimal_makespan_value(Instance(tuple(map(value_of, key))), m)
+                    except CapacityExceeded as exc:
+                        raise CapacityExceeded(f"{exc} (instance {inline_label(map(value_of, units))})") from exc
+                    opt = value.numerator * (scale // value.denominator)
+                    best = best_alg * opt
+                cell[0] = opt
+                # the same order, under OPT
+                if this > best or this == best and units < best_units:
+                    best_alg, best_opt, best_units = alg, opt, units
+                if under * alg > over * opt:
+                    violations.append(((n, offset + j), tuple(map(value_of, units)), Fraction(alg, opt)))
     return (-Fraction(best_alg, best_opt), tuple(map(value_of, best_units))), violations
+
+
+def _scan_share(writer, task) -> None:
+    """A child's work: scan one share and send back its result, or the
+    exception it raised for the parent to raise again."""
+    try:
+        result = _scan_chunk(*task)
+    except Exception as exc:
+        result = exc
+    writer.send(result)
+    writer.close()
 
 
 def verify_bound(
@@ -228,15 +283,20 @@ def verify_bound(
 
     Never aborts on a violation; every instance exceeding the bound is
     collected into the report.  Each length's enumeration is split into
-    jobs index ranges, and worker w scans its range of every length as one
-    task, so its move table, its OPT table and its best ratio so far serve
-    all lengths; a worker with no instance gets no task.  The result is
-    identical for any worker count: instances_checked is the sum of the
-    lengths' totals, which the split iterates, the tasks' violations
-    merge in (n, index) order, and the report's argmax is the least of the
-    tasks' best pairs, so ties break as they do within a task.  The report's
-    Instances are built from the checked grid values without validating
-    them again, as ``enumerate_instances`` does.
+    min(jobs, CPUs) index ranges, and share w scans its range of every
+    length as one ``_scan_chunk`` task, so its move table, its rows, its OPT
+    cells and its best ratio so far serve all lengths; a share with no
+    instance gets no task.  The parent scans share 0 itself while one
+    process per further share scans that share and sends its result back
+    through a one-way pipe; the parent reads them in share order and
+    raises the first exception in that order.  On any error every child is
+    terminated, and every child is joined before the call returns or
+    raises.  The result is identical for any split: instances_checked is
+    the sum of the lengths' totals, which the split iterates, the shares'
+    violations merge in (n, index) order, and the report's argmax is the
+    least of the shares' best pairs, so ties break as they do within a
+    share.  The report's Instances are built from the checked grid values
+    without validating them again, as ``enumerate_instances`` does.
     """
     policy = policy_for(policy)
     check_policy(policy, m, k)
@@ -250,25 +310,47 @@ def verify_bound(
     if jobs < 1:
         raise InvalidParam(f"worker count must be >= 1, got {jobs}")
 
+    # every share but the first runs in its own process at once, so no more
+    # shares than the CPUs can use
+    jobs = min(jobs, os.cpu_count() or 1)
     totals = [len(values) ** n for n in range(1, n_max + 1)]
     shares: dict[int, list[tuple[int, int, int]]] = {}
     for n, total in enumerate(totals, 1):
         chunk = -(-total // jobs)  # ceil division
-        for worker, start in enumerate(range(0, total, chunk)):
-            shares.setdefault(worker, []).append((n, start, min(start + chunk, total)))
+        for share, start in enumerate(range(0, total, chunk)):
+            shares.setdefault(share, []).append((n, start, min(start + chunk, total)))
     tasks = [(policy, m, k, values, ranges, target_bound) for ranges in shares.values()]
 
-    if jobs == 1:
-        results = [_scan_chunk(*task) for task in tasks]
+    if len(tasks) == 1:
+        results = [_scan_chunk(*tasks[0])]
     else:
-        # imported only here: it pulls in multiprocessing, which slows every start-up
-        from concurrent.futures import ProcessPoolExecutor
+        # imported only here: it slows every start-up
+        import multiprocessing
 
-        # a fork-started pool launches every worker at once, so no more than
-        # the CPUs can use: min(jobs, tasks, CPUs), and tasks <= jobs
-        workers = min(len(tasks), os.cpu_count() or 1)
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_scan_chunk, *zip(*tasks)))
+        children, readers = [], []
+        try:
+            for task in tasks[1:]:
+                reader, writer = multiprocessing.Pipe(duplex=False)
+                child = multiprocessing.Process(target=_scan_share, args=(writer, task))
+                child.start()
+                children.append(child)
+                readers.append(reader)
+                writer.close()  # the child holds its own end
+            results = [_scan_chunk(*tasks[0])]
+            for reader in readers:
+                result = reader.recv()
+                if isinstance(result, Exception):
+                    raise result
+                results.append(result)
+        except BaseException:
+            for child in children:
+                child.terminate()
+            raise
+        finally:
+            for child in children:
+                child.join()
+            for reader in readers:
+                reader.close()
 
     neg_ratio, best_values = min(best for best, _ in results)
     # (n, index) is unique, so the sort never compares further

@@ -1,6 +1,8 @@
-import concurrent.futures
 import dataclasses
 import functools
+import multiprocessing
+import os
+import time
 from fractions import Fraction as F
 from math import comb
 
@@ -365,11 +367,47 @@ def test_verify_bound_asks_the_oracle_only_where_a_tie_could_change_the_report(
     # after it in the report's order can neither win nor violate under OPT,
     # so most ties on these grids need no oracle call
     seen = _oracle_calls(monkeypatch)
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _SerialPool)
     report = verify_bound(scheduler, m, k, n_max, values, bound, jobs=jobs)
     if jobs == 1:
         assert len(seen) == len(set(seen)) == asked
     assert _summary(report) == _reference_report(scheduler, m, k, n_max, values, bound)
+
+
+def test_verify_bound_asks_the_oracle_as_before_on_a_wide_grid(monkeypatch):
+    # 3la1 over 1..12: long rows, most of them skipped whole under their
+    # largest ALG and least entry; every oracle call an instance's own test
+    # would make is still made
+    seen = _oracle_calls(monkeypatch)
+    values = tuple(F(v) for v in range(1, 13))
+    report = verify_bound(SchedulerId.THREE_LA1, 3, 1, 5, values, F(16, 11), jobs=1)
+    assert len(seen) == len(set(seen)) == 1456
+    assert report.max_ratio == 2 and len(report.violations) == 4509
+    assert report.argmax_instance.processing_times == (F(1), F(11), F(11), F(1))
+
+
+@settings(max_examples=20, deadline=None)
+@given(data=st.data())
+@pytest.mark.parametrize(
+    "scheduler,m,k",
+    [(SchedulerId.LS, 2, 0), (SchedulerId.TWO_LA1, 2, 1), (SchedulerId.THREE_LA1, 3, 2)],
+)
+def test_scan_pieces_merge_to_the_one_share_result(scheduler, m, k, data):
+    # cut each length's enumeration at random points, mostly inside a row,
+    # and hand piece w of every length to share w, as verify_bound does
+    values = data.draw(st.sampled_from([VALUES_123, (F(3), F(2), F(1)), (F(1, 2), F(2), F(5, 2), F(1))]))
+    bound, policy, n_max = F(5, 4), policy_for(scheduler), 4
+    shares, whole = {}, []
+    for n in range(1, n_max + 1):
+        total = len(values) ** n
+        cuts = data.draw(st.lists(st.integers(1, total - 1), max_size=4, unique=True)) if total > 1 else []
+        edges = [0, *sorted(cuts), total]
+        for share, (start, stop) in enumerate(zip(edges, edges[1:])):
+            shares.setdefault(share, []).append((n, start, stop))
+        whole.append((n, 0, total))
+    results = [harness._scan_chunk(policy, m, k, values, ranges, bound) for ranges in shares.values()]
+    best, violations = harness._scan_chunk(policy, m, k, values, whole, bound)
+    assert min(best for best, _ in results) == best
+    assert sorted(v for _, found in results for v in found) == violations
 
 
 def test_verify_bound_replaces_its_best_only_by_the_ratio_against_opt():
@@ -382,17 +420,24 @@ def test_verify_bound_replaces_its_best_only_by_the_ratio_against_opt():
     assert _summary(verify_bound(SchedulerId.TWO_LA1, 2, 1, 4, values, F(5, 4))) == expected
 
 
-def test_verify_bound_capacity_error_names_the_scanned_instance(monkeypatch):
+def _cap_the_oracle(monkeypatch, times=(F(1), F(2), F(3), F(3))):
+    """Make the scan's oracle raise on one multiset, sorted; returns the
+    processing times of every call it gets in this process."""
     oracle = harness.optimal_makespan_value
     seen = []
 
     def capped(instance, m):
         seen.append(instance.processing_times)
-        if instance.processing_times == (F(1), F(2), F(3), F(3)):
+        if instance.processing_times == times:
             raise CapacityExceeded("too big")
         return oracle(instance, m)
 
     monkeypatch.setattr(harness, "optimal_makespan_value", capped)
+    return seen
+
+
+def test_verify_bound_capacity_error_names_the_scanned_instance(monkeypatch):
+    seen = _cap_the_oracle(monkeypatch)
     # descending values: the first multiset the scan asks for, {1, 2, 3, 3},
     # is met as 3,3,1,2
     with pytest.raises(CapacityExceeded, match=r"^too big \(instance 3,3,1,2\)$"):
@@ -400,34 +445,111 @@ def test_verify_bound_capacity_error_names_the_scanned_instance(monkeypatch):
     assert seen == [(F(1), F(2), F(3), F(3))]
 
 
-class _SerialPool:
-    """Stands in for ProcessPoolExecutor: records max_workers, maps in-process."""
+class _InProcess:
+    """Stands in for multiprocessing.Process: records each child and runs
+    its target in this process when started."""
 
-    sizes: list = []
+    started: list = []
 
-    def __init__(self, max_workers):
-        self.sizes.append(max_workers)
+    def __init__(self, target, args):
+        self.target, self.args = target, args
 
-    def __enter__(self):
-        return self
+    def start(self):
+        self.started.append(self)
+        self.target(*self.args)
 
-    def __exit__(self, *exc):
-        return False
+    def terminate(self):
+        pass
 
-    def map(self, fn, *iterables):
-        return map(fn, *iterables)
+    def join(self):
+        pass
 
 
-@pytest.mark.parametrize("cpus,workers", [(2, 2), (64, 8), (None, 1)])
-def test_verify_bound_caps_the_pool_size(monkeypatch, cpus, workers):
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _SerialPool)
+@pytest.mark.parametrize("cpus,children", [(2, 1), (64, 7), (None, 0)])
+def test_verify_bound_caps_the_pool_size(monkeypatch, cpus, children):
+    monkeypatch.setattr(multiprocessing, "Process", _InProcess)
     monkeypatch.setattr(harness.os, "cpu_count", lambda: cpus)
-    monkeypatch.setattr(_SerialPool, "sizes", [])
-    # at jobs=5000 worker w gets index w of every length: 8 non-empty
-    # shares, and min(jobs, tasks, CPUs) workers
+    monkeypatch.setattr(_InProcess, "started", [])
+    # jobs=5000 makes min(jobs, CPUs) shares; at 64, share w gets index w of
+    # every length, so 8 shares are non-empty, and the parent scans the first
     report = verify_bound(SchedulerId.TWO_LA1, 2, 1, 3, (F(1), F(2)), F(1), jobs=5000)
-    assert _SerialPool.sizes == [workers]
+    assert len(_InProcess.started) == children
     assert report == verify_bound(SchedulerId.TWO_LA1, 2, 1, 3, (F(1), F(2)), F(1))
+
+
+def test_no_child_outlives_verify_bound(monkeypatch):
+    monkeypatch.setattr(harness.os, "cpu_count", lambda: 3)
+    report = verify_bound(SchedulerId.THREE_LA1, 3, 1, 4, (F(3), F(2), F(1)), F(16, 11), jobs=3)
+    assert multiprocessing.active_children() == []
+    assert report == verify_bound(SchedulerId.THREE_LA1, 3, 1, 4, (F(3), F(2), F(1)), F(16, 11))
+
+
+@pytest.mark.parametrize(
+    "times,label",
+    [
+        # the parent's share asks for it first
+        ((F(1), F(2), F(3), F(3)), "3,3,1,2"),
+        # only the last share asks for it: the child's error comes back
+        ((F(1), F(1), F(1), F(3)), "1,1,3,1"),
+    ],
+)
+def test_no_child_outlives_a_verify_bound_that_raises(monkeypatch, times, label):
+    _fork_only()
+    monkeypatch.setattr(harness.os, "cpu_count", lambda: 3)
+    _cap_the_oracle(monkeypatch, times)
+    with pytest.raises(CapacityExceeded, match=rf"^too big \(instance {label}\)$"):
+        verify_bound(SchedulerId.THREE_LA1, 3, 1, 4, (F(3), F(2), F(1)), F(16, 11), jobs=3)
+    assert multiprocessing.active_children() == []
+
+
+def _fork_only():
+    if multiprocessing.get_start_method() != "fork":
+        pytest.skip("a patched oracle reaches the children only through fork")
+
+
+def test_verify_bound_stops_every_share_when_one_fails(monkeypatch):
+    # the parent's share fails at its first oracle call, while each child
+    # would wait a minute at its first; the children are terminated, not
+    # waited for
+    _fork_only()
+    monkeypatch.setattr(harness.os, "cpu_count", lambda: 3)
+    parent = os.getpid()
+
+    def stalled(instance, m):
+        if os.getpid() == parent:
+            raise CapacityExceeded("too big")
+        time.sleep(60)
+
+    monkeypatch.setattr(harness, "optimal_makespan_value", stalled)
+    began = time.monotonic()
+    with pytest.raises(CapacityExceeded, match=r"^too big \(instance 3,3,1,2\)$"):
+        verify_bound(SchedulerId.THREE_LA1, 3, 1, 4, (F(3), F(2), F(1)), F(16, 11), jobs=3)
+    assert time.monotonic() - began < 30
+    assert multiprocessing.active_children() == []
+
+
+def test_verify_bound_raises_the_children_errors_in_share_order(monkeypatch):
+    # every child fails at its first oracle call; the error is share 1's,
+    # whichever child finishes first
+    _fork_only()
+    monkeypatch.setattr(harness.os, "cpu_count", lambda: 3)
+    parent, oracle = os.getpid(), harness.optimal_makespan_value
+
+    def capped(instance, m):
+        if os.getpid() != parent:
+            raise CapacityExceeded("too big")
+        return oracle(instance, m)
+
+    monkeypatch.setattr(harness, "optimal_makespan_value", capped)
+    values, bound = (F(3), F(2), F(1)), F(16, 11)
+    with pytest.raises(CapacityExceeded) as raised:
+        verify_bound(SchedulerId.THREE_LA1, 3, 1, 4, values, bound, jobs=3)
+    # share 1 of three: the second third of each length's 3, 9, 27, 81
+    share = [(1, 1, 2), (2, 3, 6), (3, 9, 18), (4, 27, 54)]
+    parent = None  # the patched oracle now fails in this process too
+    with pytest.raises(CapacityExceeded) as expected:
+        harness._scan_chunk(policy_for(SchedulerId.THREE_LA1), 3, 1, values, share, bound)
+    assert str(raised.value) == str(expected.value)
 
 
 @pytest.mark.parametrize("values", [(F(1), F(1)), (F(1), F(2, 2))])
