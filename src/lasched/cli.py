@@ -93,13 +93,15 @@ def _default_k(args) -> int:
     return policy_for(args.alg).min_lookahead if args.k is None else args.k
 
 
-def _print_trace(trace: DecisionTrace) -> None:
+def _print_trace(trace: DecisionTrace, name: str, loads: bool) -> None:
+    """One line per revealed window: the job, its lookahead and its machine,
+    then the loads after it if asked."""
     for i, record in enumerate(trace.records, 1):
         future = ",".join(format_rational(p) for p in record.window.future)
-        loads = ",".join(format_rational(l) for l in record.loads)
+        after = f" loads=({','.join(format_rational(l) for l in record.loads)})" if loads else ""
         print(
-            f"  job {i}: p={format_rational(record.window.current)}"
-            f" future=[{future}] -> M{record.machine} loads=({loads})"
+            f"  {name} {i}: p={format_rational(record.window.current)}"
+            f" future=[{future}] -> M{record.machine}{after}"
         )
 
 
@@ -120,7 +122,7 @@ def _cmd_simulate(args) -> int:
     print(f"opt_makespan: {format_rational(row.opt_makespan)}")
     print(f"ratio: {_ratio_str(row.ratio)}")
     if args.trace:
-        _print_trace(row.trace)
+        _print_trace(row.trace, "job", loads=True)
     _write_csv(args.csv, [row])
     return 0
 
@@ -182,12 +184,7 @@ def _print_transcript(game: str, transcript: GameTranscript, trace: bool) -> Non
     print(f"opt_makespan: {format_rational(transcript.opt_makespan)}")
     print(f"ratio: {_ratio_str(transcript.ratio)}")
     if trace:
-        for step, record in enumerate(transcript.trace.records, 1):
-            future = ",".join(format_rational(p) for p in record.window.future)
-            print(
-                f"  step {step}: p={format_rational(record.window.current)}"
-                f" future=[{future}] -> M{record.machine}"
-            )
+        _print_trace(transcript.trace, "step", loads=False)
 
 
 def _cmd_adversary(args) -> int:

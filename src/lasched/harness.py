@@ -22,7 +22,7 @@ from .algorithms import (
     DecisionTrace, OnlinePolicy, SchedulerId, _chooser, _drive, check_policy, policy_for,
     policy_name, run_policy,
 )
-from .core import Instance, InvalidParam, Rational, make_instance, reject_float, scaled_ints
+from .core import Instance, InvalidParam, Rational, SchedulingError, make_instance, reject_float, scaled_ints
 from .oracle import CapacityExceeded, _lower_bound, competitive_ratio, optimal_makespan_value
 
 CSV_HEADER = ("scheduler", "instance", "m", "k", "alg_makespan", "opt_makespan", "ratio", "ratio_decimal")
@@ -121,8 +121,8 @@ def _scan_chunk(
     ranges: Sequence[tuple[int, int, int]],
     bound: Rational,
 ):
-    """Score one share: the index range [start, stop) of the length-n
-    enumeration for each (n, start, stop) in ranges.
+    """Score one share: the prefix rows [first, stop) of the length-n
+    enumeration for each (n, first, stop) in ranges, every row whole.
 
     The share scales verify_bound's checked Fractions once to integers over
     the lcm of their denominators and iterates that one integer grid,
@@ -132,19 +132,21 @@ def _scan_chunk(
     was checked once by verify_bound; the scan makes no per-instance check
     or scaling.  ALG is the largest final load, in grid units.
 
-    The scan walks rows: instance i of length n is prefix i // |values| of
-    length n - 1 followed by value i % |values|.  Decision i depends only on
-    the first i + k values, so the prefix alone fixes the loads after step
-    s = max(0, n - 1 - k), and ALG depends only on those loads, the
-    prefix's values after s (at most k) and the last value.  The share keeps
-    the loads after each step of the previous prefix; in lexicographic order
-    a prefix shares all but its last t + 1 values with the one before, where
-    t counts the trailing zero base-|values| digits of its index, so
-    ``_drive`` resumes each prefix at step max(0, n - t - 2 - k), through
-    step s only.  The first prefix of a range runs from step 0, so the
-    result is the same for any split.  The ALG row, every last value's ALG,
-    is cached on (loads after s, values after s) and built once, by one
-    ``_drive`` per last value from those loads.
+    The scan walks rows: instance i of length n is prefix (row)
+    i // |values| of length n - 1 followed by value i % |values|, so length
+    n has |values|^(n-1) rows of |values| instances.  Decision i depends
+    only on the first i + k values, so the prefix alone fixes the loads
+    after step s = max(0, n - 1 - k), and ALG depends only on those loads,
+    the prefix's values after s (at most k) and the last value.  The share
+    keeps the loads after each step of the previous prefix; in
+    lexicographic order a prefix shares all but its last t + 1 values with
+    the one before, where t counts the trailing zero base-|values| digits
+    of its index, so ``_drive`` resumes each prefix at step
+    max(0, n - t - 2 - k), through step s only.  The first row of a range
+    runs from step 0, so the result is the same for any split into rows.
+    The ALG row, every last value's ALG, is cached on (loads after s,
+    values after s) and built once, by one ``_drive`` per last value from
+    those loads.
 
     OPT depends only on the multiset of processing times, so the share keeps
     one cell per sorted integer tuple, and the OPT row of a prefix, cached on
@@ -192,11 +194,10 @@ def _scan_chunk(
     cells: dict[tuple[int, ...], list[int]] = {}
     alg_rows: dict[tuple, tuple[int, tuple[int, ...]]] = {}
     opt_rows: dict[tuple[int, ...], tuple[int, tuple[list[int], ...]]] = {}
-    for n, start, stop in ranges:
+    for n, first, stop in ranges:
         step = max(0, n - 1 - k)  # the last step the prefix alone decides
         states = [(0,) * m]
-        first = start // base
-        for row, prefix in enumerate(_grid(n - 1, ints, first, -(-stop // base)), first):
+        for row, prefix in enumerate(_grid(n - 1, ints, first, stop), first):
             resume = 0  # the last step whose loads the previous prefix shares
             if row > first:
                 shared, wrapped = n - 2, row
@@ -226,8 +227,7 @@ def _scan_chunk(
             # violation, and every ratio below the best's
             if under * top <= over * least and top * best_opt < best_alg * least:
                 continue
-            offset = row * base
-            for j in range(max(0, start - offset), min(base, stop - offset)):
+            for j in range(base):
                 alg, cell = algs[j], row_cells[j]
                 entry = cell[0]
                 opt = abs(entry)  # OPT, or LB <= OPT while the entry is negative
@@ -254,7 +254,7 @@ def _scan_chunk(
                 if this > best or this == best and units < best_units:
                     best_alg, best_opt, best_units = alg, opt, units
                 if under * alg > over * opt:
-                    violations.append(((n, offset + j), tuple(map(value_of, units)), Fraction(alg, opt)))
+                    violations.append(((n, row * base + j), tuple(map(value_of, units)), Fraction(alg, opt)))
     return (-Fraction(best_alg, best_opt), tuple(map(value_of, best_units))), violations
 
 
@@ -282,17 +282,19 @@ def verify_bound(
     with processing times drawn from the value set.
 
     Never aborts on a violation; every instance exceeding the bound is
-    collected into the report.  Each length's enumeration is split into
-    min(jobs, CPUs) index ranges, and share w scans its range of every
+    collected into the report.  The unit of work is a prefix row: the
+    |values| instances of length n that share their first n - 1 values.
+    Each length's |values|^(n-1) rows are split into min(jobs, CPUs)
+    contiguous runs of whole rows, and share w scans its run of every
     length as one ``_scan_chunk`` task, so its move table, its rows, its OPT
-    cells and its best ratio so far serve all lengths; a share with no
-    instance gets no task.  The parent scans share 0 itself while one
-    process per further share scans that share and sends its result back
-    through a one-way pipe; the parent reads them in share order and
-    raises the first exception in that order.  On any error every child is
-    terminated, and every child is joined before the call returns or
-    raises.  The result is identical for any split: instances_checked is
-    the sum of the lengths' totals, which the split iterates, the shares'
+    cells and its best ratio so far serve all lengths; a share with no row
+    gets no task.  The parent scans share 0 itself while one process per
+    further share scans that share and sends its result back through a
+    one-way pipe; the parent reads them in share order and raises the first
+    exception in that order.  A child that exits without sending a result
+    is a ``SchedulingError`` naming its share and exit code.  On any error
+    every child is terminated, and every child is joined before the call
+    returns or raises.  The result is identical for any split: the shares'
     violations merge in (n, index) order, and the report's argmax is the
     least of the shares' best pairs, so ties break as they do within a
     share.  The report's Instances are built from the checked grid values
@@ -313,44 +315,43 @@ def verify_bound(
     # every share but the first runs in its own process at once, so no more
     # shares than the CPUs can use
     jobs = min(jobs, os.cpu_count() or 1)
-    totals = [len(values) ** n for n in range(1, n_max + 1)]
     shares: dict[int, list[tuple[int, int, int]]] = {}
-    for n, total in enumerate(totals, 1):
-        chunk = -(-total // jobs)  # ceil division
-        for share, start in enumerate(range(0, total, chunk)):
-            shares.setdefault(share, []).append((n, start, min(start + chunk, total)))
-    tasks = [(policy, m, k, values, ranges, target_bound) for ranges in shares.values()]
+    for n in range(1, n_max + 1):
+        rows = len(values) ** (n - 1)
+        chunk = -(-rows // jobs)  # ceil division
+        for share, first in enumerate(range(0, rows, chunk)):
+            shares.setdefault(share, []).append((n, first, min(first + chunk, rows)))
+    first_task, *tasks = [(policy, m, k, values, ranges, target_bound) for ranges in shares.values()]
 
-    if len(tasks) == 1:
-        results = [_scan_chunk(*tasks[0])]
-    else:
-        # imported only here: it slows every start-up
-        import multiprocessing
-
-        children, readers = [], []
-        try:
-            for task in tasks[1:]:
-                reader, writer = multiprocessing.Pipe(duplex=False)
-                child = multiprocessing.Process(target=_scan_share, args=(writer, task))
-                child.start()
-                children.append(child)
-                readers.append(reader)
-                writer.close()  # the child holds its own end
-            results = [_scan_chunk(*tasks[0])]
-            for reader in readers:
+    children = []  # (process, the read end of its pipe) per further share
+    try:
+        if tasks:
+            # imported only here: it slows every start-up
+            import multiprocessing
+        for task in tasks:
+            reader, writer = multiprocessing.Pipe(duplex=False)
+            child = multiprocessing.Process(target=_scan_share, args=(writer, task))
+            child.start()
+            children.append((child, reader))
+            writer.close()  # the child holds its own end
+        results = [_scan_chunk(*first_task)]
+        for share, (child, reader) in enumerate(children, 1):
+            try:
                 result = reader.recv()
-                if isinstance(result, Exception):
-                    raise result
-                results.append(result)
-        except BaseException:
-            for child in children:
-                child.terminate()
-            raise
-        finally:
-            for child in children:
+            except EOFError:  # the child exited without sending
                 child.join()
-            for reader in readers:
-                reader.close()
+                result = SchedulingError(f"verify share {share} exited with code {child.exitcode} and no result")
+            if isinstance(result, Exception):
+                raise result
+            results.append(result)
+    except BaseException:
+        for child, _ in children:
+            child.terminate()
+        raise
+    finally:
+        for child, reader in children:
+            child.join()
+            reader.close()
 
     neg_ratio, best_values = min(best for best, _ in results)
     # (n, index) is unique, so the sort never compares further
@@ -361,7 +362,7 @@ def verify_bound(
         k=k,
         n_max=n_max,
         values=values,
-        instances_checked=sum(totals),
+        instances_checked=sum(len(values) ** n for n in range(1, n_max + 1)),
         max_ratio=-neg_ratio,
         argmax_instance=Instance(best_values),
         violations=tuple((Instance(v), r) for _, v, r in found),

@@ -11,6 +11,7 @@ from hypothesis import given, settings, strategies as st
 
 import lasched.harness as harness
 from lasched.algorithms import BudgetCascade
+from lasched.cli import dispatch
 from brute_force import exhaustive_optimal_makespan
 from reference_policies import LoadConstant
 from lasched import (
@@ -20,6 +21,7 @@ from lasched import (
     InvalidParam,
     SchedulerId,
     SchedulerMachineMismatch,
+    SchedulingError,
     emit_csv,
     enumerate_instances,
     format_family_id,
@@ -392,18 +394,18 @@ def test_verify_bound_asks_the_oracle_as_before_on_a_wide_grid(monkeypatch):
     [(SchedulerId.LS, 2, 0), (SchedulerId.TWO_LA1, 2, 1), (SchedulerId.THREE_LA1, 3, 2)],
 )
 def test_scan_pieces_merge_to_the_one_share_result(scheduler, m, k, data):
-    # cut each length's enumeration at random points, mostly inside a row,
-    # and hand piece w of every length to share w, as verify_bound does
+    # cut each length's prefix rows at random row boundaries and hand
+    # piece w of every length to share w, as verify_bound does
     values = data.draw(st.sampled_from([VALUES_123, (F(3), F(2), F(1)), (F(1, 2), F(2), F(5, 2), F(1))]))
     bound, policy, n_max = F(5, 4), policy_for(scheduler), 4
     shares, whole = {}, []
     for n in range(1, n_max + 1):
-        total = len(values) ** n
-        cuts = data.draw(st.lists(st.integers(1, total - 1), max_size=4, unique=True)) if total > 1 else []
-        edges = [0, *sorted(cuts), total]
-        for share, (start, stop) in enumerate(zip(edges, edges[1:])):
-            shares.setdefault(share, []).append((n, start, stop))
-        whole.append((n, 0, total))
+        rows = len(values) ** (n - 1)
+        cuts = data.draw(st.lists(st.integers(1, rows - 1), max_size=4, unique=True)) if rows > 1 else []
+        edges = [0, *sorted(cuts), rows]
+        for share, (first, stop) in enumerate(zip(edges, edges[1:])):
+            shares.setdefault(share, []).append((n, first, stop))
+        whole.append((n, 0, rows))
     results = [harness._scan_chunk(policy, m, k, values, ranges, bound) for ranges in shares.values()]
     best, violations = harness._scan_chunk(policy, m, k, values, whole, bound)
     assert min(best for best, _ in results) == best
@@ -465,13 +467,14 @@ class _InProcess:
         pass
 
 
-@pytest.mark.parametrize("cpus,children", [(2, 1), (64, 7), (None, 0)])
+@pytest.mark.parametrize("cpus,children", [(2, 1), (64, 3), (None, 0)])
 def test_verify_bound_caps_the_pool_size(monkeypatch, cpus, children):
     monkeypatch.setattr(multiprocessing, "Process", _InProcess)
     monkeypatch.setattr(harness.os, "cpu_count", lambda: cpus)
     monkeypatch.setattr(_InProcess, "started", [])
-    # jobs=5000 makes min(jobs, CPUs) shares; at 64, share w gets index w of
-    # every length, so 8 shares are non-empty, and the parent scans the first
+    # jobs=5000 makes min(jobs, CPUs) shares; at 64, share w gets row w of
+    # every length, which has 1, 2 and 4 rows, so 4 shares are non-empty,
+    # and the parent scans the first
     report = verify_bound(SchedulerId.TWO_LA1, 2, 1, 3, (F(1), F(2)), F(1), jobs=5000)
     assert len(_InProcess.started) == children
     assert report == verify_bound(SchedulerId.TWO_LA1, 2, 1, 3, (F(1), F(2)), F(1))
@@ -544,12 +547,35 @@ def test_verify_bound_raises_the_children_errors_in_share_order(monkeypatch):
     values, bound = (F(3), F(2), F(1)), F(16, 11)
     with pytest.raises(CapacityExceeded) as raised:
         verify_bound(SchedulerId.THREE_LA1, 3, 1, 4, values, bound, jobs=3)
-    # share 1 of three: the second third of each length's 3, 9, 27, 81
-    share = [(1, 1, 2), (2, 3, 6), (3, 9, 18), (4, 27, 54)]
+    # share 1 of three: the second third of each length's 1, 3, 9, 27
+    # prefix rows, none for length 1
+    share = [(2, 1, 2), (3, 3, 6), (4, 9, 18)]
     parent = None  # the patched oracle now fails in this process too
     with pytest.raises(CapacityExceeded) as expected:
         harness._scan_chunk(policy_for(SchedulerId.THREE_LA1), 3, 1, values, share, bound)
     assert str(raised.value) == str(expected.value)
+
+
+def test_verify_bound_names_a_share_that_exits_without_a_result(monkeypatch, capsys):
+    # the child ends at once, as a killed one would, and sends nothing
+    _fork_only()
+    monkeypatch.setattr(harness.os, "cpu_count", lambda: 2)
+    parent, scan = os.getpid(), harness._scan_chunk
+
+    def dies(*task):
+        if os.getpid() != parent:
+            os._exit(3)
+        return scan(*task)
+
+    monkeypatch.setattr(harness, "_scan_chunk", dies)
+    message = "verify share 1 exited with code 3 and no result"
+    with pytest.raises(SchedulingError, match=f"^{message}$"):
+        verify_bound(SchedulerId.THREE_LA1, 3, 1, 4, (F(3), F(2), F(1)), F(16, 11), jobs=2)
+    assert multiprocessing.active_children() == []
+    # the CLI prints it as one error line and exits 1
+    code = dispatch("verify --alg 3la1 --m 3 --nmax 4 --values 1,2,3 --bound 16/11 --jobs 2".split())
+    assert (code, capsys.readouterr()) == (1, ("", f"error: {message}\n"))
+    assert multiprocessing.active_children() == []
 
 
 @pytest.mark.parametrize("values", [(F(1), F(1)), (F(1), F(2, 2))])
